@@ -5,7 +5,9 @@ function, and a discrete exponential. The exponential has two modes:
 "discrete" renormalizes the geometric form so it sums to one on the
 support, "paper-literal" evaluates the unnormalized continuous density
 lam*exp(-lam*x) pointwise. The literal mode is not a probability mass
-function, so sampling under it is refused.
+function, so sampling under it is refused. The zeta pair and the
+exponential log-amplitude come from ``kernels``, the one numeric core,
+so these densities match what the fits evaluate.
 """
 
 from __future__ import annotations
@@ -40,12 +42,16 @@ def _check_x_min(x_min) -> int:
 
 
 def _check_support(x, x_min: int) -> np.ndarray:
-    arr = np.asarray(x)
+    """Values as float64; DomainError unless all are integers >= x_min."""
+    arr = np.asarray(x, dtype=np.float64)
     if arr.size and (np.floor(arr) != arr).any():
         raise DomainError("support values must be integers")
     if arr.size and arr.min() < x_min:
-        raise DomainError(f"support values must be >= x_min={x_min}")
-    return arr.astype(np.float64)
+        idx = int(np.argmin(arr))
+        raise DomainError(
+            f"value {arr.flat[idx]:.0f} at index {idx} is below x_min={x_min}"
+        )
+    return arr
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,9 @@ def exp_log_pmf(x, params: ExpParams, x_min: int = 1):
     """
     x_min = _check_x_min(x_min)
     arr = _check_support(x, x_min)
-    lam = params.rate
-    if params.mode == "paper-literal":
-        out = math.log(lam) - lam * arr
-    else:
-        if lam > kernels.LN_HALF_POINT:
-            log_amp = math.log1p(-math.exp(-lam))
-        else:
-            log_amp = math.log(-math.expm1(-lam))
-        out = log_amp - lam * (arr - x_min)
+    literal = params.mode == "paper-literal"
+    log_amp = kernels.exp_log_amp(np.float64(params.rate), literal)
+    out = log_amp - params.rate * kernels.exp_offset(arr, x_min, literal)
     return float(out) if np.isscalar(x) else out
 
 

@@ -31,20 +31,25 @@ WEIGHT_FLOOR = 0.02
 LAMBDA_INIT_RANGE = (0.05, 3.0)
 ALPHA_INIT_RANGE = (1.1, 3.5)
 
+# Barrier weight schedule, one BFGS stage each, and the inner solver's
+# stopping rule (gradient infinity norm, iteration cap).
+BARRIER_WEIGHTS = (1e-2, 1e-5, 1e-8)
+INNER_TOL = 1e-6
+MAX_INNER_ITERS = 500
+
+# Upper bounds of the feasible box for alpha and for each rate.
+ALPHA_MAX = 4.0
+LAMBDA_MAX = 3.5
+
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings. Defaults match the validation experiments."""
+    """Restart count and root seed. Defaults match the validation experiments."""
 
     restarts: int = 20
-    barrier_weights: tuple = (1e-2, 1e-5, 1e-8)
-    alpha_max: float = 4.0
-    lambda_max: float = 3.5
-    inner_tol: float = 1e-6
-    max_inner_iters: int = 500
     seed: int = DEFAULT_SEED
 
 
@@ -65,12 +70,12 @@ class FittedModel:
         return self.loglik - 0.5 * math.log(self.n) * self.spec.dof
 
 
-def slack_system(spec: ModelSpec, config: FitConfig):
+def slack_system(spec: ModelSpec):
     """Affine slack map (A, b) with s = A @ theta + b, all s > 0 feasible.
 
     Slacks cover: each free weight above 0, the implied power-tail weight
-    above 0, each rate inside (0, lambda_max), alpha inside
-    (1, alpha_max), and for two exponentials the ordering rate1 > rate2.
+    above 0, each rate inside (0, LAMBDA_MAX), alpha inside
+    (1, ALPHA_MAX), and for two exponentials the ordering rate1 > rate2.
     """
     k = spec.n_exp
     dim = 2 * k + 1
@@ -90,9 +95,9 @@ def slack_system(spec: ModelSpec, config: FitConfig):
         row([(i, -1.0) for i in range(k)], 1.0)  # power-tail weight > 0
     for i in range(k):
         row([(k + i, 1.0)], 0.0)  # rate_i > 0
-        row([(k + i, -1.0)], config.lambda_max)  # rate_i < lambda_max
+        row([(k + i, -1.0)], LAMBDA_MAX)  # rate_i < LAMBDA_MAX
     row([(dim - 1, 1.0)], -1.0)  # alpha > 1
-    row([(dim - 1, -1.0)], config.alpha_max)  # alpha < alpha_max
+    row([(dim - 1, -1.0)], ALPHA_MAX)  # alpha < ALPHA_MAX
     if k == 2:
         row([(k, 1.0), (k + 1, -1.0)], 0.0)  # rate order: first decays faster
     return np.array(rows), np.array(offs)
@@ -108,7 +113,7 @@ def theta_to_params(theta: np.ndarray, spec: ModelSpec) -> MixtureParams:
     )
 
 
-def random_init(spec: ModelSpec, config: FitConfig, rng: np.random.Generator):
+def random_init(spec: ModelSpec, rng: np.random.Generator):
     """Feasible random starting point for one restart."""
     k = spec.n_exp
     theta = np.empty(2 * k + 1)
@@ -127,12 +132,12 @@ def random_init(spec: ModelSpec, config: FitConfig, rng: np.random.Generator):
     return theta
 
 
-def _make_objective(values, log_values, mult, spec, config, barrier_weight):
+def _make_objective(values, log_values, mult, spec, barrier_weight):
     """Return f(theta) -> (-phi, -grad), +inf outside the feasible set."""
     literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
-    a_mat, b_vec = slack_system(spec, config)
+    a_mat, b_vec = slack_system(spec)
 
     def neg_phi(theta):
         s = a_mat @ theta + b_vec
@@ -242,18 +247,18 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
     best = None
     for r in range(config.restarts):
         rng = substream(config.seed, r)
-        theta = random_init(spec, config, rng)
+        theta = random_init(spec, rng)
         try:
             iters_total = 0
             stage_status = []
-            for c in config.barrier_weights:
-                fun = _make_objective(values, log_values, mult, spec, config, c)
+            for c in BARRIER_WEIGHTS:
+                fun = _make_objective(values, log_values, mult, spec, c)
                 theta, _, grad, iters, status = _bfgs_min(
-                    fun, theta, config.inner_tol, config.max_inner_iters
+                    fun, theta, INNER_TOL, MAX_INNER_ITERS
                 )
                 iters_total += iters
                 stage_status.append(status)
-            raw = _make_objective(values, log_values, mult, spec, config, 0.0)
+            raw = _make_objective(values, log_values, mult, spec, 0.0)
             neg_ll, _ = raw(theta)
             ll = -neg_ll
         except (FitError, FloatingPointError) as exc:
@@ -277,12 +282,9 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
             partial={"restart_logliks": restart_logliks, "restarts": restart_reports},
         )
     ll, r_best, theta = best
-    fun_last = _make_objective(
-        values, log_values, mult, spec, config, config.barrier_weights[-1]
-    )
+    fun_last = _make_objective(values, log_values, mult, spec, BARRIER_WEIGHTS[-1])
     neg_phi, _ = fun_last(theta)
     diagnostics = {
-        "backend": kernels.ACTIVE_BACKEND,
         "restart_chosen": r_best,
         "restart_logliks": restart_logliks,
         "restarts": restart_reports,

@@ -1,23 +1,21 @@
-"""Numeric kernels with two interchangeable backends.
+"""Numeric kernels, in numpy.
 
 The two hot operations are the Hurwitz zeta pair (value and alpha
 derivative) and the mixture log-likelihood with its analytic gradient.
-Each exists as a scalar-loop version compiled with numba and as a pure
-numpy version. The environment variable TAILMIX_BACKEND selects which
-one the rest of the package uses: "numba" (the default) or "numpy".
-Both implementations stay importable so they can be cross-checked and
-benchmarked against each other.
+The mixture log-density is written once here: the log-amplitude of the
+exponential components, the weighted log term of each component, and
+their log-sum-exp. The kernel and the density functions in ``dists``
+and ``mixture`` all evaluate it through these helpers.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
-from .errors import DomainError
+# Name of the one numeric implementation, for benchmark environment records.
+ACTIVE_BACKEND = "numpy"
 
 LN_HALF_POINT = 0.6931471805599453  # ln 2, switch point for log(1 - e^-x)
 
@@ -36,45 +34,13 @@ def _zeta_terms(alpha: float) -> int:
     return k
 
 
-def _zeta_pair_py(alpha, q):
-    """Hurwitz zeta(alpha, q) and its alpha derivative, scalar loops.
+def zeta_pair(alpha, q):
+    """Hurwitz zeta(alpha, q) and its alpha derivative.
 
     Direct summation of the first K terms plus an Euler-Maclaurin tail
     through the B4 term. Absolute error is below 1e-10 for the value and
     1e-9 for the derivative over alpha in (1, 4] and integer q >= 1.
     """
-    k_terms = int(math.ceil(10.0 / (alpha - 1.0)))
-    if k_terms < ZETA_MIN_TERMS:
-        k_terms = ZETA_MIN_TERMS
-    if k_terms > ZETA_MAX_TERMS:
-        k_terms = ZETA_MAX_TERMS
-    s0 = 0.0
-    s1 = 0.0
-    for j in range(k_terms):
-        base = q + j
-        t = base ** (-alpha)
-        s0 += t
-        s1 -= math.log(base) * t
-    n_edge = q + k_terms
-    ln_n = math.log(n_edge)
-    am1 = alpha - 1.0
-    t_int = n_edge ** (-am1) / am1
-    t_half = 0.5 * n_edge ** (-alpha)
-    t_b2 = alpha * n_edge ** (-alpha - 1.0) / 12.0
-    poly = alpha * (alpha + 1.0) * (alpha + 2.0)
-    t_b4 = poly * n_edge ** (-alpha - 3.0) / 720.0
-    zeta = s0 + t_int + t_half + t_b2 - t_b4
-    d_int = -t_int * (ln_n + 1.0 / am1)
-    d_half = -ln_n * t_half
-    d_b2 = (1.0 - alpha * ln_n) * n_edge ** (-alpha - 1.0) / 12.0
-    d_poly = 3.0 * alpha * alpha + 6.0 * alpha + 2.0
-    d_b4 = (d_poly - poly * ln_n) * n_edge ** (-alpha - 3.0) / 720.0
-    dzeta = s1 + d_int + d_half + d_b2 - d_b4
-    return zeta, dzeta
-
-
-def _zeta_pair_np(alpha, q):
-    """Vectorized twin of :func:`_zeta_pair_py`."""
     k_terms = _zeta_terms(alpha)
     base = q + np.arange(k_terms, dtype=np.float64)
     t = base ** (-alpha)
@@ -98,148 +64,72 @@ def _zeta_pair_np(alpha, q):
     return zeta, dzeta
 
 
-def _mix_loglik_grad_py(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
-    """Weighted mixture log-likelihood and gradient, scalar loops.
+def exp_log_amp(lam, literal):
+    """Log-amplitude of each exponential component with rates ``lam``.
 
-    Components are ordered [exponential..., power tail]. ``x`` holds the
-    unique observed values, ``wt`` their multiplicities. ``z``/``dz`` are
-    the zeta value and alpha derivative at (alpha, x_min). ``literal``
-    switches the exponential density from the discretely normalized
-    geometric form to the unnormalized continuous form lam*exp(-lam*x).
+    Discrete mode: log(1 - e^-lam), the geometric normalizer, computed
+    on whichever side of ln 2 keeps it accurate. Literal mode: log(lam),
+    the amplitude of the unnormalized continuous form lam*exp(-lam*x).
+    """
+    if literal:
+        return np.log(lam)
+    return np.where(
+        lam > LN_HALF_POINT, np.log1p(-np.exp(-lam)), np.log(-np.expm1(-lam))
+    )
+
+
+def exp_offset(x, x_min, literal):
+    """Distance the exponential density decays over at x: x - x_min for
+    the discrete pmf, x itself for the literal form."""
+    return x if literal else x - x_min
+
+
+def component_logs(x, log_x, m, lam, alpha, x_min, z, literal):
+    """Weighted log density of each component at x, shape (k, len(x)).
+
+    Components are ordered [exponential..., power tail]; ``m`` holds
+    their weights and ``z`` is zeta(alpha, x_min). Row j is
+    log(m_j) + log pmf_j(x); with unit weights it is the log pmf.
+    """
+    n_exp = lam.shape[0]
+    logs = np.empty((n_exp + 1, x.shape[0]))
+    log_amp = exp_log_amp(lam, literal)
+    shifted = exp_offset(x, x_min, literal)
+    log_m = np.log(m)
+    for e in range(n_exp):
+        logs[e] = log_m[e] + log_amp[e] - lam[e] * shifted
+    logs[n_exp] = log_m[n_exp] - alpha * log_x - math.log(z)
+    return logs
+
+
+def log_sum_exp(logs):
+    """Log of the summed exponentials down each column of ``logs``."""
+    mx = logs.max(axis=0)
+    return mx + np.log(np.exp(logs - mx).sum(axis=0))
+
+
+def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
+    """Weighted mixture log-likelihood and gradient.
+
+    ``x`` holds the unique observed values, ``wt`` their multiplicities.
+    ``z``/``dz`` are the zeta value and alpha derivative at
+    (alpha, x_min). ``literal`` switches the exponential density from the
+    discretely normalized geometric form to the unnormalized continuous
+    form lam*exp(-lam*x).
 
     Returns (loglik, grad_weights, grad_lambdas, grad_alpha); the weight
     gradient is taken with all weights free (no simplex projection).
     """
     n_exp = lam.shape[0]
-    k = n_exp + 1
-    n_vals = x.shape[0]
-    log_m = np.empty(k)
-    for j in range(k):
-        log_m[j] = math.log(m[j])
-    log_amp = np.empty(n_exp)
-    d_const = np.empty(n_exp)
-    for e in range(n_exp):
-        lv = lam[e]
-        if literal:
-            log_amp[e] = math.log(lv)
-            d_const[e] = 1.0 / lv
-        else:
-            if lv > LN_HALF_POINT:
-                log_amp[e] = math.log1p(-math.exp(-lv))
-            else:
-                log_amp[e] = math.log(-math.expm1(-lv))
-            d_const[e] = 1.0 / math.expm1(lv)
-    ln_z = math.log(z)
-    dz_over_z = dz / z
-    ll = 0.0
-    g_m = np.zeros(k)
-    g_lam = np.zeros(n_exp)
-    g_alpha = 0.0
-    logs = np.empty(k)
-    for i in range(n_vals):
-        xv = x[i]
-        mx = -np.inf
-        for e in range(n_exp):
-            if literal:
-                t = log_m[e] + log_amp[e] - lam[e] * xv
-            else:
-                t = log_m[e] + log_amp[e] - lam[e] * (xv - x_min)
-            logs[e] = t
-            if t > mx:
-                mx = t
-        t = log_m[k - 1] - alpha * log_x[i] - ln_z
-        logs[k - 1] = t
-        if t > mx:
-            mx = t
-        acc = 0.0
-        for j in range(k):
-            acc += math.exp(logs[j] - mx)
-        log_f = mx + math.log(acc)
-        w = wt[i]
-        ll += w * log_f
-        for e in range(n_exp):
-            r = math.exp(logs[e] - log_f)
-            g_m[e] += w * r / m[e]
-            if literal:
-                g_lam[e] += w * r * (d_const[e] - xv)
-            else:
-                g_lam[e] += w * r * (d_const[e] - (xv - x_min))
-        r = math.exp(logs[k - 1] - log_f)
-        g_m[k - 1] += w * r / m[k - 1]
-        g_alpha += w * r * (-log_x[i] - dz_over_z)
-    return ll, g_m, g_lam, g_alpha
-
-
-def _mix_loglik_grad_np(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
-    """Vectorized twin of :func:`_mix_loglik_grad_py`."""
-    n_exp = lam.shape[0]
-    k = n_exp + 1
-    logs = np.empty((k, x.shape[0]))
-    if literal:
-        log_amp = np.log(lam)
-        d_const = 1.0 / lam
-        shifted = x
-    else:
-        log_amp = np.where(
-            lam > LN_HALF_POINT, np.log1p(-np.exp(-lam)), np.log(-np.expm1(-lam))
-        )
-        d_const = 1.0 / np.expm1(lam)
-        shifted = x - x_min
-    log_m = np.log(m)
-    for e in range(n_exp):
-        logs[e] = log_m[e] + log_amp[e] - lam[e] * shifted
-    logs[k - 1] = log_m[k - 1] - alpha * log_x - math.log(z)
-    mx = logs.max(axis=0)
-    log_f = mx + np.log(np.exp(logs - mx).sum(axis=0))
+    logs = component_logs(x, log_x, m, lam, alpha, x_min, z, literal)
+    log_f = log_sum_exp(logs)
     resp = np.exp(logs - log_f)
     ll = float(wt @ log_f)
     g_m = (resp @ wt) / m
+    d_const = 1.0 / lam if literal else 1.0 / np.expm1(lam)
+    shifted = exp_offset(x, x_min, literal)
     g_lam = np.empty(n_exp)
     for e in range(n_exp):
         g_lam[e] = float(wt @ (resp[e] * (d_const[e] - shifted)))
-    g_alpha = float(wt @ (resp[k - 1] * (-log_x - dz / z)))
+    g_alpha = float(wt @ (resp[n_exp] * (-log_x - dz / z)))
     return ll, g_m, g_lam, g_alpha
-
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _zeta_pair_nb = njit(cache=True)(_zeta_pair_py)
-    _mix_loglik_grad_nb = njit(cache=True)(_mix_loglik_grad_py)
-
-IMPLEMENTATIONS = {
-    "numpy": {"zeta_pair": _zeta_pair_np, "mix_loglik_grad": _mix_loglik_grad_np},
-}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "zeta_pair": _zeta_pair_nb,
-        "mix_loglik_grad": _mix_loglik_grad_nb,
-    }
-
-
-def resolve_backend(requested: str) -> str:
-    """Map a requested backend name to the one that will actually run."""
-    name = requested.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise DomainError(
-            f"unknown backend {requested!r}: expected 'numba' or 'numpy'"
-        )
-    if name == "numba" and not HAVE_NUMBA:
-        warnings.warn(
-            "numba is not installed; falling back to the numpy backend",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "numpy"
-    return name
-
-
-ACTIVE_BACKEND = resolve_backend(os.environ.get("TAILMIX_BACKEND", "numba"))
-
-zeta_pair = IMPLEMENTATIONS[ACTIVE_BACKEND]["zeta_pair"]
-mix_loglik_grad = IMPLEMENTATIONS[ACTIVE_BACKEND]["mix_loglik_grad"]

@@ -8,7 +8,6 @@ order everywhere is [exponentials..., power tail].
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +28,13 @@ class ModelSpec:
     """Structural description of a mixture: component counts and support."""
 
     n_exp: int
-    has_pareto: bool = True
     x_min: int = 1
     exp_mode: str = "discrete"
 
     def __post_init__(self):
         if self.n_exp not in (0, 1, 2):
             raise DomainError(f"n_exp must be 0, 1 or 2, got {self.n_exp}")
-        if not self.has_pareto:
-            raise DomainError("every model in the family includes the power tail")
-        if int(self.x_min) != self.x_min or self.x_min < 1:
-            raise DomainError(f"x_min must be an integer >= 1, got {self.x_min}")
-        object.__setattr__(self, "x_min", int(self.x_min))
+        object.__setattr__(self, "x_min", dists._check_x_min(self.x_min))
         if self.exp_mode not in EXP_MODES:
             raise DomainError(
                 f"exp_mode must be one of {EXP_MODES}, got {self.exp_mode!r}"
@@ -148,35 +142,26 @@ def check_compat(spec: ModelSpec, params: MixtureParams) -> None:
         )
 
 
-def _support_values(x, x_min: int):
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size and (np.floor(arr) != arr).any():
-        raise DataError("values must be integers")
-    if arr.size and arr.min() < x_min:
-        idx = int(np.argmin(arr))
-        raise DataError(f"value {arr[idx]:.0f} at index {idx} is below x_min={x_min}")
-    return arr, scalar
+def _component_logs(x, spec: ModelSpec, params: MixtureParams, m) -> np.ndarray:
+    """Component log terms with weights m at x, shape (n_components, n)."""
+    check_compat(spec, params)
+    arr = np.atleast_1d(dists._check_support(x, spec.x_min))
+    z = kernels.zeta_pair(params.alpha, float(spec.x_min))[0]
+    return kernels.component_logs(
+        arr, np.log(arr), m, params.as_arrays()[1], params.alpha,
+        float(spec.x_min), z, spec.exp_mode == "paper-literal",
+    )
 
 
 def component_log_pmfs(x, spec: ModelSpec, params: MixtureParams) -> np.ndarray:
     """Log densities of each component at x, shape (n_components, n)."""
-    check_compat(spec, params)
-    arr, _ = _support_values(x, spec.x_min)
-    out = np.empty((spec.n_components, arr.size))
-    for e, rate in enumerate(params.lambdas):
-        out[e] = dists.exp_log_pmf(arr, ExpParams(rate, spec.exp_mode), spec.x_min)
-    out[-1] = dists.pareto_log_pmf(arr, ParetoParams(params.alpha, spec.x_min))
-    return out
+    return _component_logs(x, spec, params, np.ones(spec.n_components))
 
 
 def mixture_log_pmf(x, spec: ModelSpec, params: MixtureParams):
     """Log of the mixture density at x (scalar in, scalar out)."""
-    comp = component_log_pmfs(x, spec, params)
-    logs = comp + np.log(params.weights)[:, None]
-    mx = logs.max(axis=0)
-    out = mx + np.log(np.exp(logs - mx).sum(axis=0))
+    logs = _component_logs(x, spec, params, params.as_arrays()[0])
+    out = kernels.log_sum_exp(logs)
     return float(out[0]) if np.isscalar(x) else out
 
 
@@ -190,11 +175,8 @@ def responsibilities(x, spec: ModelSpec, params: MixtureParams):
     Scalar x gives a vector of length n_components; an array gives shape
     (n, n_components). Rows sum to one.
     """
-    comp = component_log_pmfs(x, spec, params)
-    logs = comp + np.log(params.weights)[:, None]
-    mx = logs.max(axis=0)
-    log_f = mx + np.log(np.exp(logs - mx).sum(axis=0))
-    resp = np.exp(logs - log_f).T
+    logs = _component_logs(x, spec, params, params.as_arrays()[0])
+    resp = np.exp(logs - kernels.log_sum_exp(logs)).T
     return resp[0] if np.isscalar(x) else resp
 
 

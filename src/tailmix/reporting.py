@@ -11,12 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .fit import FittedModel
 from .select import SelectionResult
 
@@ -33,13 +33,11 @@ class RunManifest:
     inputs: tuple = ()
     tool: str = "tailmix"
     version: str = __version__
-    backend: str = field(default_factory=lambda: kernels.ACTIVE_BACKEND)
 
     def to_dict(self) -> dict:
         return {
             "tool": self.tool,
             "version": self.version,
-            "backend": self.backend,
             "subcommand": self.subcommand,
             "seed": self.seed,
             "config": dict(self.config),

@@ -100,16 +100,15 @@ def test_criterion_05_mixture_normalization():
 def test_criterion_06_analytic_gradients_match_fd():
     """Analytic log-likelihood gradients match central finite differences
     with relative error <= 1e-5 at 20 random interior points per model."""
-    cfg = FitConfig()
     sample = sample_mixture(
         ModelSpec(1), MixtureParams((0.5, 0.5), (0.4,), 1.8), 600, seed=2025
     )
     values, mult = aggregate_counts(sample, 1)
     log_values = np.log(values)
     for spec in (ModelSpec(0), ModelSpec(1), ModelSpec(2)):
-        fun = fit_module._make_objective(values, log_values, mult, spec, cfg, 0.0)
+        fun = fit_module._make_objective(values, log_values, mult, spec, 0.0)
         for point in range(20):
-            theta = random_init(spec, cfg, substream(909, spec.n_exp, point))
+            theta = random_init(spec, substream(909, spec.n_exp, point))
             _, grad = fun(theta)
             for i in range(theta.size):
                 h = 1e-6 * max(1.0, abs(theta[i]))

@@ -1,20 +1,22 @@
 """Command-line pipeline: outputs, determinism, schema conformance."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+from tailmix import __version__
 from tailmix.cli import main
 from tailmix.experiments import PRESETS, RecoveryPlan
 from tailmix.ingest import read_series_file
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json")
-    .read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def check_report(path):
@@ -32,6 +34,17 @@ def flow_file(tmp_path):
     lines += [f"f{i},{t:.3f},{100 + i}" for i, t in enumerate(times)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def test_version_runs_with_empty_stderr():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "tailmix.cli", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.strip() == f"tailmix {__version__}"
 
 
 class TestBinCommand:

@@ -17,23 +17,22 @@ from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
 from tailmix.seeding import substream
 
 P, EP, EEP = ModelSpec(0), ModelSpec(1), ModelSpec(2)
-CFG = FitConfig()
 
 
 class TestSlackSystem:
     def test_shapes(self):
         for spec, n_slacks, dim in ((P, 2, 1), (EP, 6, 3), (EEP, 10, 5)):
-            a, b = slack_system(spec, CFG)
+            a, b = slack_system(spec)
             assert a.shape == (n_slacks, dim)
             assert b.shape == (n_slacks,)
 
     def test_interior_point_is_feasible(self):
-        a, b = slack_system(EEP, CFG)
+        a, b = slack_system(EEP)
         theta = np.array([0.3, 0.4, 1.5, 0.15, 1.6])
         assert (a @ theta + b > 0).all()
 
     def test_violations_detected(self):
-        a, b = slack_system(EEP, CFG)
+        a, b = slack_system(EEP)
         bad = [
             np.array([-0.1, 0.4, 1.5, 0.15, 1.6]),  # negative weight
             np.array([0.6, 0.5, 1.5, 0.15, 1.6]),  # tail weight negative
@@ -46,7 +45,7 @@ class TestSlackSystem:
             assert (a @ theta + b <= 0).any(), theta
 
     def test_alpha_only_model(self):
-        a, b = slack_system(P, CFG)
+        a, b = slack_system(P)
         assert (a @ np.array([2.0]) + b > 0).all()
         assert (a @ np.array([0.5]) + b <= 0).any()
         assert (a @ np.array([4.5]) + b <= 0).any()
@@ -55,25 +54,25 @@ class TestSlackSystem:
 class TestRandomInit:
     def test_always_feasible(self):
         for spec in (P, EP, EEP):
-            a, b = slack_system(spec, CFG)
+            a, b = slack_system(spec)
             for r in range(200):
-                theta = random_init(spec, CFG, substream(77, r))
+                theta = random_init(spec, substream(77, r))
                 assert (a @ theta + b > 0).all()
 
     def test_deterministic(self):
-        t1 = random_init(EEP, CFG, substream(5, 0))
-        t2 = random_init(EEP, CFG, substream(5, 0))
+        t1 = random_init(EEP, substream(5, 0))
+        t2 = random_init(EEP, substream(5, 0))
         np.testing.assert_array_equal(t1, t2)
 
     def test_rates_start_ordered(self):
         for r in range(50):
-            theta = random_init(EEP, CFG, substream(88, r))
+            theta = random_init(EEP, substream(88, r))
             assert theta[2] > theta[3]
 
 
 class TestGradients:
     def fd_check(self, spec, theta, values, log_values, mult, tol=1e-5):
-        fun = fit_module._make_objective(values, log_values, mult, spec, CFG, 0.0)
+        fun = fit_module._make_objective(values, log_values, mult, spec, 0.0)
         _, grad = fun(theta)
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
@@ -95,7 +94,7 @@ class TestGradients:
         log_values = np.log(values)
         for spec in (P, EP, EEP):
             for r in range(3):
-                theta = random_init(spec, CFG, substream(55, spec.n_exp, r))
+                theta = random_init(spec, substream(55, spec.n_exp, r))
                 self.fd_check(spec, theta, values, log_values, mult)
 
     def test_literal_mode_gradient(self):

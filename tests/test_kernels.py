@@ -1,31 +1,81 @@
-"""Backend equivalence and selection for the numeric kernels."""
+"""The numeric kernels against a scalar-loop oracle and direct formulas."""
+
+import math
 
 import numpy as np
 import pytest
 
 from tailmix import kernels
-from tailmix.errors import DomainError
 from tailmix.seeding import substream
 
 
-def both(name):
-    if "numba" not in kernels.IMPLEMENTATIONS:
-        pytest.skip("numba backend unavailable")
-    return kernels.IMPLEMENTATIONS["numpy"][name], kernels.IMPLEMENTATIONS["numba"][name]
+def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
+    """Scalar-loop reference for :func:`kernels.mix_loglik_grad`.
+
+    Same arguments and return value; one value and one component at a
+    time, so it shares no vector code with the kernel under test.
+    """
+    n_exp = lam.shape[0]
+    k = n_exp + 1
+    n_vals = x.shape[0]
+    log_m = np.empty(k)
+    for j in range(k):
+        log_m[j] = math.log(m[j])
+    log_amp = np.empty(n_exp)
+    d_const = np.empty(n_exp)
+    for e in range(n_exp):
+        lv = lam[e]
+        if literal:
+            log_amp[e] = math.log(lv)
+            d_const[e] = 1.0 / lv
+        else:
+            if lv > kernels.LN_HALF_POINT:
+                log_amp[e] = math.log1p(-math.exp(-lv))
+            else:
+                log_amp[e] = math.log(-math.expm1(-lv))
+            d_const[e] = 1.0 / math.expm1(lv)
+    ln_z = math.log(z)
+    dz_over_z = dz / z
+    ll = 0.0
+    g_m = np.zeros(k)
+    g_lam = np.zeros(n_exp)
+    g_alpha = 0.0
+    logs = np.empty(k)
+    for i in range(n_vals):
+        xv = x[i]
+        mx = -np.inf
+        for e in range(n_exp):
+            if literal:
+                t = log_m[e] + log_amp[e] - lam[e] * xv
+            else:
+                t = log_m[e] + log_amp[e] - lam[e] * (xv - x_min)
+            logs[e] = t
+            if t > mx:
+                mx = t
+        t = log_m[k - 1] - alpha * log_x[i] - ln_z
+        logs[k - 1] = t
+        if t > mx:
+            mx = t
+        acc = 0.0
+        for j in range(k):
+            acc += math.exp(logs[j] - mx)
+        log_f = mx + math.log(acc)
+        w = wt[i]
+        ll += w * log_f
+        for e in range(n_exp):
+            r = math.exp(logs[e] - log_f)
+            g_m[e] += w * r / m[e]
+            if literal:
+                g_lam[e] += w * r * (d_const[e] - xv)
+            else:
+                g_lam[e] += w * r * (d_const[e] - (xv - x_min))
+        r = math.exp(logs[k - 1] - log_f)
+        g_m[k - 1] += w * r / m[k - 1]
+        g_alpha += w * r * (-log_x[i] - dz_over_z)
+    return ll, g_m, g_lam, g_alpha
 
 
-def test_zeta_backends_agree_across_grid():
-    f_np, f_nb = both("zeta_pair")
-    for alpha in (1.05, 1.2, 1.5, 2.0, 2.7, 3.3, 3.9):
-        for q in (1.0, 2.0, 5.0):
-            z0, d0 = f_np(alpha, q)
-            z1, d1 = f_nb(alpha, q)
-            assert z0 == pytest.approx(z1, rel=1e-12)
-            assert d0 == pytest.approx(d1, rel=1e-12)
-
-
-def test_mix_loglik_backends_agree_on_random_inputs():
-    f_np, f_nb = both("mix_loglik_grad")
+def test_mix_loglik_matches_scalar_oracle_on_random_inputs():
     rng = substream(321)
     for n_exp in (0, 1, 2):
         for literal in (False, True):
@@ -35,9 +85,10 @@ def test_mix_loglik_backends_agree_on_random_inputs():
             m = raw / raw.sum()
             lam = np.sort(rng.uniform(0.05, 3.0, size=n_exp))[::-1].copy()
             alpha = float(rng.uniform(1.1, 3.5))
-            z, dz = kernels.IMPLEMENTATIONS["numpy"]["zeta_pair"](alpha, 1.0)
-            out0 = f_np(values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal)
-            out1 = f_nb(values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal)
+            z, dz = kernels.zeta_pair(alpha, 1.0)
+            args = (values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal)
+            out0 = kernels.mix_loglik_grad(*args)
+            out1 = mix_loglik_grad_oracle(*args)
             assert out0[0] == pytest.approx(out1[0], rel=1e-12)
             np.testing.assert_allclose(out0[1], out1[1], rtol=1e-10)
             np.testing.assert_allclose(out0[2], out1[2], rtol=1e-10)
@@ -45,32 +96,15 @@ def test_mix_loglik_backends_agree_on_random_inputs():
 
 
 def test_literal_mode_matches_direct_formula():
-    f = kernels.IMPLEMENTATIONS["numpy"]["mix_loglik_grad"]
     values = np.array([1.0, 2.0, 7.0])
     mult = np.ones(3)
     m = np.array([0.6, 0.4])
     lam = np.array([0.5])
-    z, dz = kernels.IMPLEMENTATIONS["numpy"]["zeta_pair"](2.0, 1.0)
-    ll, _, _, _ = f(values, np.log(values), mult, m, lam, 2.0, 1.0, z, dz, True)
+    z, dz = kernels.zeta_pair(2.0, 1.0)
+    ll, _, _, _ = kernels.mix_loglik_grad(
+        values, np.log(values), mult, m, lam, 2.0, 1.0, z, dz, True
+    )
     direct = np.log(
         0.6 * 0.5 * np.exp(-0.5 * values) + 0.4 * values**-2.0 / z
     ).sum()
     assert ll == pytest.approx(direct, rel=1e-12)
-
-
-def test_resolve_backend_names():
-    assert kernels.resolve_backend("numpy") == "numpy"
-    assert kernels.resolve_backend(" NumPy ") == "numpy"
-    with pytest.raises(DomainError):
-        kernels.resolve_backend("fortran")
-
-
-def test_resolve_backend_falls_back_without_numba(monkeypatch):
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    with pytest.warns(RuntimeWarning):
-        assert kernels.resolve_backend("numba") == "numpy"
-
-
-def test_active_backend_is_consistent():
-    assert kernels.ACTIVE_BACKEND in kernels.IMPLEMENTATIONS
-    assert kernels.zeta_pair is kernels.IMPLEMENTATIONS[kernels.ACTIVE_BACKEND]["zeta_pair"]

@@ -38,8 +38,6 @@ class TestModelSpec:
         with pytest.raises(DomainError):
             ModelSpec(n_exp=3)
         with pytest.raises(DomainError):
-            ModelSpec(n_exp=1, has_pareto=False)
-        with pytest.raises(DomainError):
             ModelSpec(n_exp=1, x_min=0)
         with pytest.raises(DomainError):
             ModelSpec(n_exp=1, exp_mode="fancy")
@@ -98,6 +96,13 @@ class TestDensities:
         counts = np.array([1, 1, 2, 3, 3, 3, 17, 120])
         direct = mixture_log_pmf(counts, EP, params).sum()
         assert log_likelihood(counts, EP, params) == pytest.approx(direct, rel=1e-12)
+
+    def test_densities_name_value_below_x_min(self):
+        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        spec = ModelSpec(n_exp=1, x_min=2)
+        for fn in (mixture_log_pmf, responsibilities):
+            with pytest.raises(DomainError, match="index 2"):
+                fn(np.array([3, 2, 1, 5]), spec, params)
 
     def test_log_likelihood_names_offending_index(self):
         params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
