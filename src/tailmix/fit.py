@@ -8,9 +8,17 @@ s = A @ theta + b and the penalized objective is
     phi_c(theta) = loglik(theta) + c * sum(log(s))
 
 maximized for a decreasing barrier weight schedule, warm-starting each
-stage from the last. The inner solver is BFGS with Armijo backtracking
-that treats infeasible points as +inf. Multiple random restarts guard
-against local optima; the restart with the best raw log-likelihood wins.
+stage from the last. The inner solver is BFGS with Armijo backtracking.
+Multiple random restarts guard against local optima; the restart with
+the best raw log-likelihood wins.
+
+All restarts of a fit run together in lockstep: each keeps its own BFGS
+state, and one batched objective call per round evaluates every
+restart's pending point. Backtracking never evaluates a point outside
+the feasible set: the slacks are affine and halving a step is exact, so
+one scan of the halved steps finds the first feasible trial step, the
+one that rejecting infeasible points one at a time would reach. Every
+restart's result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import FitError
+from .errors import DataError, FitError
 from .mixture import BinnedSeries, MixtureParams, ModelSpec, aggregate_counts
 from .seeding import DEFAULT_SEED, substream
 
@@ -132,93 +140,254 @@ def random_init(spec: ModelSpec, rng: np.random.Generator):
     return theta
 
 
-def _make_objective(values, log_values, mult, spec, barrier_weight):
-    """Return f(theta) -> (-phi, -grad), +inf outside the feasible set."""
+def _objective(values, log_values, mult, spec):
+    """Return f(theta, barrier) -> (-phi, -grad) for a batch of points.
+
+    ``theta`` has shape (B, d) and ``barrier`` holds one barrier weight
+    per row. Rows outside the feasible set get +inf and a NaN gradient;
+    the feasible rows go through one zeta and one kernel call. Every
+    operation is shaped so that row b equals the evaluation of a batch
+    of one at that point, bit for bit.
+    """
     literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
     a_mat, b_vec = slack_system(spec)
 
-    def neg_phi(theta):
-        s = a_mat @ theta + b_vec
-        if (s <= 0.0).any():
-            return np.inf, None
-        m = np.empty(k + 1)
-        m[:k] = theta[:k]
-        m[k] = 1.0 - theta[:k].sum()
-        lam = np.ascontiguousarray(theta[k : 2 * k])
-        alpha = theta[-1]
+    def neg_phi(theta, barrier):
+        s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
+        ok = ~(s <= 0.0).any(axis=1)
+        f = np.full(theta.shape[0], np.inf)
+        g = np.full(theta.shape, np.nan)
+        if not ok.any():
+            return f, g
+        theta, s, barrier = theta[ok], s[ok], barrier[ok]
+        m = np.empty((theta.shape[0], k + 1))
+        m[:, :k] = theta[:, :k]
+        m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
+        lam = np.ascontiguousarray(theta[:, k : 2 * k])
+        alpha = np.ascontiguousarray(theta[:, -1])
         z, dz = kernels.zeta_pair(alpha, x_min)
         ll, g_m, g_lam, g_alpha = kernels.mix_loglik_grad(
             values, log_values, mult, m, lam, alpha, x_min, z, dz, literal
         )
-        grad = np.empty(theta.shape[0])
-        grad[:k] = g_m[:k] - g_m[k]
-        grad[k : 2 * k] = g_lam
-        grad[-1] = g_alpha
-        phi = ll + barrier_weight * np.log(s).sum()
-        grad += barrier_weight * (a_mat.T @ (1.0 / s))
-        return -phi, -grad
+        grad = np.empty(theta.shape)
+        grad[:, :k] = g_m[:, :k] - g_m[:, k, None]
+        grad[:, k : 2 * k] = g_lam
+        grad[:, -1] = g_alpha
+        phi = ll + barrier * np.log(s).sum(axis=1)
+        grad += barrier[:, None] * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0]
+        f[ok] = -phi
+        g[ok] = -grad
+        return f, g
 
     return neg_phi
 
 
-def _bfgs_min(fun, x0, tol, max_iters):
-    """Minimize fun (value and gradient) from x0 by BFGS with backtracking.
+# Every step a line search can try from a unit step: 1, 1/2, 1/4, ...
+# down to the last power of two not below _MIN_STEP.
+_HALVINGS = np.ldexp(1.0, -np.arange(int(-math.log2(_MIN_STEP)) + 1))
 
-    Infeasible trial points return +inf and are rejected by the line
-    search. Returns (x, f, grad, iters, status) with status one of
-    "gradtol" (gradient norm met), "stalled" (function improvements fell
-    below float rounding), "linesearch" (no acceptable step), "maxiter".
+
+def _feasible_steps(a_mat, b_vec, x, d, step):
+    """Largest feasible step in step, step/2, step/4, ... for each row.
+
+    Row r tries x[r] + t * d[r] for the halvings t of step[r] that are
+    not below _MIN_STEP, with the objective's own slack test, and gets
+    the first t that passes, or 0.0 if none does. Halving is exact, so
+    this is the step that backtracking past infeasible points one trial
+    at a time would reach. The current step is tested first; only rows
+    where it fails scan the whole ladder.
     """
-    x = np.array(x0, dtype=np.float64)
-    f, g = fun(x)
-    if not np.isfinite(f):
-        raise FitError("starting point is infeasible", partial={"x0": x0})
-    dim = x.shape[0]
-    h_inv = np.eye(dim)
-    first_update = True
-    stalls = 0
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        if np.abs(g).max() <= tol:
-            return x, f, g, iters - 1, "gradtol"
-        d = -h_inv @ g
-        slope = float(d @ g)
-        if slope >= 0.0:
-            h_inv = np.eye(dim)
-            first_update = True
-            d = -g
-            slope = float(d @ g)
-        step = 1.0
-        while True:
-            x_new = x + step * d
-            f_new, g_new = fun(x_new)
-            if np.isfinite(f_new) and f_new <= f + _ARMIJO_C1 * step * slope:
-                break
-            step *= 0.5
-            if step < _MIN_STEP:
-                return x, f, g, iters, "linesearch"
-        s = x_new - x
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            if first_update:
-                h_inv *= sy / float(y @ y)
-                first_update = False
-            rho = 1.0 / sy
-            v = np.eye(dim) - rho * np.outer(s, y)
-            h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
+    found = np.zeros(step.shape)
+    rows = np.arange(step.shape[0])
+    for halvings in (_HALVINGS[:1], _HALVINGS[1:]):
+        steps = step[rows, None] * halvings
+        points = x[rows, None, :] + steps[:, :, None] * d[rows, None, :]
+        s = (a_mat @ points[..., None])[..., 0] + b_vec
+        ok = ~(s <= 0.0).any(axis=2) & (steps >= _MIN_STEP)
+        hit = ok.any(axis=1)
+        found[rows[hit]] = steps[hit, ok[hit].argmax(axis=1)]
+        rows = rows[~hit]
+        if not rows.size:
+            break
+    return found
+
+
+# Phases of one restart in the lockstep run. START, SEARCH and FINAL
+# rows each need one objective value per round; DONE rows have ended or
+# failed.
+_START, _SEARCH, _FINAL, _DONE = range(4)
+
+
+def _row_dot(u, v):
+    """u[r] @ v[r] for each row, as a (1, d) @ (d, 1) product per row."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _lockstep(fun, a_mat, b_vec, theta0):
+    """Run every restart through the barrier schedule together.
+
+    Row r of ``theta0`` starts restart r. Each restart runs BFGS with
+    Armijo backtracking for each barrier weight in turn, warm-started
+    from the last stage, and ends with an evaluation of the raw
+    log-likelihood (barrier weight 0). Each restart keeps its own
+    iterate, inverse Hessian, step and stage; one call of ``fun`` per
+    round evaluates every restart's pending point (a stage start, a
+    line-search trial, or the final log-likelihood). Trial points
+    outside the feasible set are skipped by ``_feasible_steps`` rather
+    than evaluated.
+
+    A stage ends "gradtol" (gradient infinity norm met), "stalled"
+    (improvements fell below float rounding of f), "linesearch" (no
+    acceptable step down to _MIN_STEP) or "maxiter". Returns
+    (theta, loglik, grad, iters, stage_status, errors), one entry per
+    restart; grad is the final stage's gradient and errors[r] is None
+    unless restart r failed.
+    """
+    n_rows, dim = theta0.shape
+    n_stages = len(BARRIER_WEIGHTS)
+    barrier = np.array(BARRIER_WEIGHTS + (0.0,))
+    eye = np.eye(dim)
+    x = np.array(theta0, dtype=np.float64)
+    f = np.zeros(n_rows)
+    g = np.zeros((n_rows, dim))
+    h_inv = np.zeros((n_rows, dim, dim))
+    first_update = np.zeros(n_rows, dtype=bool)
+    stalls = np.zeros(n_rows, dtype=np.int64)
+    it = np.zeros(n_rows, dtype=np.int64)
+    iters = np.zeros(n_rows, dtype=np.int64)
+    step = np.ones(n_rows)
+    d = np.zeros((n_rows, dim))
+    slope = np.zeros(n_rows)
+    stage = np.zeros(n_rows, dtype=np.int64)
+    phase = np.full(n_rows, _START)
+    loglik = np.full(n_rows, -np.inf)
+    status = [[] for _ in range(n_rows)]
+    errors = [None] * n_rows
+
+    def end_stage(rows, name, done_iters):
+        if not rows.size:
+            return
+        iters[rows] += done_iters
+        for r in rows.tolist():
+            status[r].append(name)
+        stage[rows] += 1
+        phase[rows] = np.where(stage[rows] < n_stages, _START, _FINAL)
+
+    def begin_iteration(rows):
+        """Top of a BFGS iteration: gradient test, then descent direction."""
+        done = np.abs(g[rows]).max(axis=1) <= INNER_TOL
+        if done.any():
+            end_stage(rows[done], "gradtol", it[rows[done]] - 1)
+            rows = rows[~done]
+        if not rows.size:
+            return
+        g_r = g[rows]
+        d_r = ((-h_inv[rows]) @ g_r[:, :, None])[..., 0]
+        slope_r = _row_dot(d_r, g_r)
+        uphill = slope_r >= 0.0
+        if uphill.any():
+            h_inv[rows[uphill]] = eye
+            first_update[rows[uphill]] = True
+            d_r[uphill] = -g_r[uphill]
+            slope_r[uphill] = _row_dot(d_r[uphill], g_r[uphill])
+        d[rows] = d_r
+        slope[rows] = slope_r
+        step[rows] = 1.0
+        phase[rows] = _SEARCH
+
+    def start_stage(rows, f0, g0):
+        bad = ~np.isfinite(f0)
+        if bad.any():
+            for r in rows[bad].tolist():
+                errors[r] = "starting point is infeasible"
+            phase[rows[bad]] = _DONE
+            rows, f0, g0 = rows[~bad], f0[~bad], g0[~bad]
+        f[rows] = f0
+        g[rows] = g0
+        h_inv[rows] = eye
+        first_update[rows] = True
+        stalls[rows] = 0
+        it[rows] = 1
+        begin_iteration(rows)
+
+    def try_step(rows, x_new, f_new, g_new):
+        """Armijo test of each row's trial point; BFGS update where it passes."""
+        accept = np.isfinite(f_new) & (
+            f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
+        )
+        if not accept.all():
+            rejected = rows[~accept]
+            step[rejected] *= 0.5
+            too_small = rejected[step[rejected] < _MIN_STEP]
+            end_stage(too_small, "linesearch", it[too_small])
+            rows, x_new, f_new, g_new = (
+                rows[accept], x_new[accept], f_new[accept], g_new[accept]
+            )
+            if not rows.size:
+                return
+        s = x_new - x[rows]
+        y = g_new - g[rows]
+        sy = _row_dot(s, y)
+        curved = sy > 1e-12 * np.sqrt(_row_dot(s, s)) * np.sqrt(_row_dot(y, y))
+        scale = curved & first_update[rows]
+        if scale.any():
+            h_inv[rows[scale]] *= (sy[scale] / _row_dot(y[scale], y[scale]))[:, None, None]
+            first_update[rows[scale]] = False
+        if curved.any():
+            upd, s_c, y_c = rows[curved], s[curved], y[curved]
+            rho = (1.0 / sy[curved])[:, None, None]
+            v = eye - rho * (s_c[:, :, None] * y_c[:, None, :])
+            h_inv[upd] = v @ h_inv[upd] @ v.transpose(0, 2, 1) + rho * (
+                s_c[:, :, None] * s_c[:, None, :]
+            )
         # once improvements sink into float rounding of f, stop: the
         # gradient test may be unreachable in double precision
-        if f - f_new <= 1e-12 * (abs(f) + 1.0):
-            stalls += 1
-            if stalls >= 2:
-                return x_new, f_new, g_new, iters, "stalled"
-        else:
-            stalls = 0
-        x, f, g = x_new, f_new, g_new
-    return x, f, g, iters, "maxiter"
+        flat = f[rows] - f_new <= 1e-12 * (np.abs(f[rows]) + 1.0)
+        stalls[rows] = np.where(flat, stalls[rows] + 1, 0)
+        x[rows] = x_new
+        f[rows] = f_new
+        g[rows] = g_new
+        stop = flat & (stalls[rows] >= 2)
+        if stop.any():
+            end_stage(rows[stop], "stalled", it[rows[stop]])
+            rows = rows[~stop]
+        capped = it[rows] >= MAX_INNER_ITERS
+        if capped.any():
+            end_stage(rows[capped], "maxiter", it[rows[capped]])
+            rows = rows[~capped]
+        it[rows] += 1
+        begin_iteration(rows)
+
+    while True:
+        searching = np.flatnonzero(phase == _SEARCH)
+        if searching.size:
+            step[searching] = _feasible_steps(
+                a_mat, b_vec, x[searching], d[searching], step[searching]
+            )
+            stuck = searching[step[searching] == 0.0]
+            end_stage(stuck, "linesearch", it[stuck])
+        pending = np.flatnonzero(phase <= _FINAL)
+        if not pending.size:
+            break
+        kind = phase[pending]
+        trial = kind == _SEARCH
+        rows = pending[trial]
+        points = x[pending]
+        points[trial] = x[rows] + step[rows][:, None] * d[rows]
+        f_new, g_new = fun(points, barrier[stage[pending]])
+        if rows.size < pending.size:
+            final = kind == _FINAL
+            loglik[pending[final]] = -f_new[final]
+            phase[pending[final]] = _DONE
+            start = kind == _START
+            if start.any():
+                start_stage(pending[start], f_new[start], g_new[start])
+        if rows.size:
+            try_step(rows, points[trial], f_new[trial], g_new[trial])
+
+    return x, loglik, g, iters, status, errors
 
 
 def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
@@ -226,8 +395,9 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
 
     Accepts a BinnedSeries or a raw integer count array. Restart r draws
     its start from substream(config.seed, r), so fits are reproducible.
-    Raises FitError (with per-restart diagnostics attached) if no restart
-    produces a finite log-likelihood.
+    Raises DataError if fewer than 2 distinct counts remain, since no
+    model can then be told from another, and FitError (with per-restart
+    diagnostics attached) if no restart produces a finite log-likelihood.
     """
     if config is None:
         config = FitConfig()
@@ -239,42 +409,40 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
         counts = series.counts
         fingerprint = series.fingerprint()
     values, mult = aggregate_counts(counts, spec.x_min)
+    if values.shape[0] < 2:
+        raise DataError(
+            f"need at least 2 distinct counts >= x_min={spec.x_min} to fit "
+            f"{spec.label}, got {values.shape[0]}"
+        )
     log_values = np.log(values)
     n = int(mult.sum())
+
+    fun = _objective(values, log_values, mult, spec)
+    a_mat, b_vec = slack_system(spec)
+    theta0 = np.array(
+        [random_init(spec, substream(config.seed, r)) for r in range(config.restarts)]
+    ).reshape(config.restarts, spec.dof)
+    thetas, logliks, grads, iters, status, errors = _lockstep(fun, a_mat, b_vec, theta0)
 
     restart_logliks = []
     restart_reports = []
     best = None
     for r in range(config.restarts):
-        rng = substream(config.seed, r)
-        theta = random_init(spec, rng)
-        try:
-            iters_total = 0
-            stage_status = []
-            for c in BARRIER_WEIGHTS:
-                fun = _make_objective(values, log_values, mult, spec, c)
-                theta, _, grad, iters, status = _bfgs_min(
-                    fun, theta, INNER_TOL, MAX_INNER_ITERS
-                )
-                iters_total += iters
-                stage_status.append(status)
-            raw = _make_objective(values, log_values, mult, spec, 0.0)
-            neg_ll, _ = raw(theta)
-            ll = -neg_ll
-        except (FitError, FloatingPointError) as exc:
+        if errors[r] is not None:
             restart_logliks.append(float("-inf"))
-            restart_reports.append({"error": str(exc)})
+            restart_reports.append({"error": errors[r]})
             continue
-        restart_logliks.append(float(ll))
+        ll = float(logliks[r])
+        restart_logliks.append(ll)
         restart_reports.append(
             {
-                "iters": iters_total,
-                "stage_status": stage_status,
-                "grad_inf_norm": float(np.abs(grad).max()),
+                "iters": int(iters[r]),
+                "stage_status": status[r],
+                "grad_inf_norm": float(np.abs(grads[r]).max()),
             }
         )
         if np.isfinite(ll) and (best is None or ll > best[0]):
-            best = (float(ll), r, theta.copy())
+            best = (ll, r, thetas[r])
 
     if best is None:
         raise FitError(
@@ -282,13 +450,12 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
             partial={"restart_logliks": restart_logliks, "restarts": restart_reports},
         )
     ll, r_best, theta = best
-    fun_last = _make_objective(values, log_values, mult, spec, BARRIER_WEIGHTS[-1])
-    neg_phi, _ = fun_last(theta)
+    neg_phi, _ = fun(theta[None], np.array([BARRIER_WEIGHTS[-1]]))
     diagnostics = {
         "restart_chosen": r_best,
         "restart_logliks": restart_logliks,
         "restarts": restart_reports,
-        "barrier_residual": float(abs(-neg_phi - ll)),
+        "barrier_residual": float(abs(-neg_phi[0] - ll)),
         "n_unique_values": int(values.shape[0]),
     }
     return FittedModel(

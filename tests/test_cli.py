@@ -13,7 +13,8 @@ import pytest
 from tailmix import __version__
 from tailmix.cli import main
 from tailmix.experiments import PRESETS, RecoveryPlan
-from tailmix.ingest import read_series_file
+from tailmix.ingest import read_series_file, write_series_file
+from tailmix.mixture import BinnedSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -150,6 +151,16 @@ class TestFitSelectCommand:
         rc = main(["fit-select", "--input", str(tmp_path)])
         assert rc == 1
         assert "no .series" in capsys.readouterr().err
+
+    def test_one_value_series_fails(self, tmp_path, capsys):
+        path = tmp_path / "flat.series"
+        write_series_file(path, BinnedSeries(np.full(50, 4), bin_seconds=8.0))
+        rc = main(["fit-select", "--input", str(path), "--restarts", "2",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "at least 2 distinct counts" in err
 
     def test_seed_env_variable_used(self, series_file, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"

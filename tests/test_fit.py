@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tailmix.errors import FitError
+from tailmix import kernels
+from tailmix.errors import DataError, FitError
 from tailmix.fit import (
     FitConfig,
     FittedModel,
@@ -13,7 +14,7 @@ from tailmix.fit import (
     theta_to_params,
 )
 from tailmix import fit as fit_module
-from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
+from tailmix.mixture import MixtureParams, ModelSpec, aggregate_counts, sample_mixture
 from tailmix.seeding import substream
 
 P, EP, EEP = ModelSpec(0), ModelSpec(1), ModelSpec(2)
@@ -72,7 +73,12 @@ class TestRandomInit:
 
 class TestGradients:
     def fd_check(self, spec, theta, values, log_values, mult, tol=1e-5):
-        fun = fit_module._make_objective(values, log_values, mult, spec, 0.0)
+        objective = fit_module._objective(values, log_values, mult, spec)
+
+        def fun(t):
+            f, g = objective(t[None], np.zeros(1))
+            return f[0], g[0]
+
         _, grad = fun(theta)
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
@@ -154,14 +160,31 @@ class TestFitModel:
         assert sum(fm.params.weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_restarts_failing_raises_fit_error(self, monkeypatch):
-        def explode(*args, **kwargs):
-            raise FitError("boom")
+        real = kernels.mix_loglik_grad
 
-        monkeypatch.setattr(fit_module, "_bfgs_min", explode)
+        def nan_loglik(*args):
+            ll, g_m, g_lam, g_alpha = real(*args)
+            return np.full_like(ll, np.nan), g_m, g_lam, g_alpha
+
+        monkeypatch.setattr(kernels, "mix_loglik_grad", nan_loglik)
         sample = np.array([1, 2, 3, 4, 5])
         with pytest.raises(FitError) as info:
             fit_model(sample, P, FitConfig(restarts=3, seed=1))
         assert len(info.value.partial["restart_logliks"]) == 3
+        assert all("error" in rep for rep in info.value.partial["restarts"])
+
+    @pytest.mark.parametrize("counts", [np.ones(500, dtype=int), [7], [3, 3, 3]])
+    def test_fewer_than_two_distinct_counts_raise_data_error(self, counts):
+        for spec in (P, EP, EEP):
+            with pytest.raises(DataError, match="at least 2 distinct counts"):
+                fit_model(counts, spec, FitConfig(restarts=2, seed=1))
+
+    def test_distinct_counts_counted_at_or_above_x_min(self):
+        spec = ModelSpec(0, x_min=3)
+        with pytest.raises(DataError, match="x_min=3"):
+            fit_model([3, 3, 3, 3], spec, FitConfig(restarts=2, seed=1))
+        fm = fit_model([3, 4, 3, 9], spec, FitConfig(restarts=2, seed=1))
+        assert fm.diagnostics["n_unique_values"] == 3
 
     def test_x_min_respected(self):
         spec = ModelSpec(1, x_min=3)
@@ -170,6 +193,84 @@ class TestFitModel:
         assert sample.min() >= 3
         fm = fit_model(sample, spec, FitConfig(restarts=4, seed=2))
         assert fm.params.alpha == pytest.approx(2.0, abs=0.3)
+
+
+class TestLockstep:
+    """All restarts run together equal each restart run alone, bit for bit."""
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    @pytest.mark.parametrize("n_exp", [0, 1, 2])
+    def test_rows_equal_restarts_run_alone(self, n_exp, exp_mode, x_min):
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        sample = sample_mixture(ModelSpec(1, x_min=x_min), truth, 1200, seed=31)
+        spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
+        values, mult = aggregate_counts(sample, x_min)
+        fun = fit_module._objective(values, np.log(values), mult, spec)
+        a, b = slack_system(spec)
+        theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
+        batch = fit_module._lockstep(fun, a, b, theta0.reshape(5, spec.dof))
+        for r in range(5):
+            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1].reshape(1, -1))
+            np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
+            assert batch[1][r] == alone[1][0]  # log-likelihood
+            np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
+            assert batch[3][r] == alone[3][0]  # iterations
+            assert batch[4][r] == alone[4][0]  # stage statuses
+            assert batch[5][r] is None and alone[5][0] is None
+
+
+def _halving_reference(a, b, x, d, step):
+    """Backtrack from step past infeasible points one trial at a time."""
+    while step >= fit_module._MIN_STEP:
+        if not ((a @ (x + step * d) + b) <= 0.0).any():
+            return step
+        step *= 0.5
+    return 0.0
+
+
+class TestFeasibleSteps:
+    def test_scan_matches_sequential_halving(self):
+        rng = substream(606)
+        for spec in (P, EP, EEP):
+            a, b = slack_system(spec)
+            x = np.array([random_init(spec, substream(60, r)) for r in range(40)])
+            x = x.reshape(40, spec.dof)
+            d = rng.normal(size=x.shape) * 10.0 ** rng.uniform(-2, 15, size=(40, 1))
+            step = 0.5 ** rng.integers(0, 6, size=40).astype(float)
+            got = fit_module._feasible_steps(a, b, x, d, step)
+            want = [_halving_reference(a, b, x[r], d[r], step[r]) for r in range(40)]
+            np.testing.assert_array_equal(got, want)
+            # the draws cover a first-try step, a long scan, and no step
+            assert (got == step).any()
+            assert ((got > 0.0) & (got < 1e-3 * step)).any()
+            assert (got == 0.0).any()
+
+    def test_no_feasible_step_ends_stage_linesearch(self):
+        a, b = slack_system(P)
+        x = np.array([[2.0], [2.0]])
+        # alpha - 1e20 * 2**-46 is far below 1: no step down to _MIN_STEP works
+        d = np.array([[-1e20], [-0.1]])
+        got = fit_module._feasible_steps(a, b, x, d, np.ones(2))
+        assert got[0] == 0.0 and got[1] == 1.0
+        assert _halving_reference(a, b, x[0], d[0], 1.0) == 0.0
+
+        calls = []
+
+        def steep(theta, barrier):
+            # gradient 1e20 uphill in alpha: the first BFGS direction
+            # leaves the feasible set at every step
+            calls.append(theta.copy())
+            return np.zeros(theta.shape[0]), np.full(theta.shape, 1e20)
+
+        theta, ll, _, iters, status, errors = fit_module._lockstep(
+            steep, a, b, np.array([[2.0]])
+        )
+        assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)
+        assert iters[0] == len(fit_module.BARRIER_WEIGHTS)
+        assert theta[0, 0] == 2.0 and ll[0] == 0.0 and errors[0] is None
+        # three stage starts and the final evaluation; no trial point
+        assert len(calls) == len(fit_module.BARRIER_WEIGHTS) + 1
 
 
 def test_theta_to_params_roundtrip():

@@ -108,3 +108,31 @@ def test_literal_mode_matches_direct_formula():
         0.6 * 0.5 * np.exp(-0.5 * values) + 0.4 * values**-2.0 / z
     ).sum()
     assert ll == pytest.approx(direct, rel=1e-12)
+
+
+def test_batched_rows_equal_single_calls():
+    rng = substream(404)
+    values = np.unique(rng.integers(1, 400, size=150)).astype(np.float64)
+    mult = rng.integers(1, 20, size=values.size).astype(np.float64)
+    for n_exp in (0, 1, 2):
+        for literal in (False, True):
+            raw = rng.uniform(0.2, 1.0, size=(6, n_exp + 1))
+            m = raw / raw.sum(axis=1, keepdims=True)
+            lam = np.sort(rng.uniform(0.05, 3.0, size=(6, n_exp)), axis=1)[:, ::-1]
+            lam = np.ascontiguousarray(lam)
+            alpha = np.concatenate([[1.02, 1.05], rng.uniform(1.1, 3.9, size=4)])
+            z, dz = kernels.zeta_pair(alpha, 1.0)
+            out = kernels.mix_loglik_grad(
+                values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal
+            )
+            for r in range(6):
+                z1, dz1 = kernels.zeta_pair(alpha[r], 1.0)
+                assert (z[r], dz[r]) == (z1, dz1)
+                one = kernels.mix_loglik_grad(
+                    values, np.log(values), mult, m[r], lam[r], alpha[r],
+                    1.0, z1, dz1, literal,
+                )
+                assert out[0][r] == one[0]
+                np.testing.assert_array_equal(out[1][r], one[1])
+                np.testing.assert_array_equal(out[2][r], one[2])
+                assert out[3][r] == one[3]

@@ -7,7 +7,7 @@ import pytest
 
 import frozen_values as fv
 from tailmix import select as select_module
-from tailmix.errors import ContractError, DomainError, FitError
+from tailmix.errors import ContractError, DataError, DomainError, FitError
 from tailmix.fit import FitConfig, fit_model
 from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
 from tailmix.select import (
@@ -134,6 +134,13 @@ class TestNestedSelection:
         assert sel.eep_failure is not None
         assert "synthetic failure" in sel.eep_failure
         assert math.isfinite(sel.log_bf_ep_p)
+
+    @pytest.mark.parametrize("counts", [np.ones(500, dtype=int), [7]])
+    def test_degenerate_series_raise_data_error(self, counts):
+        # one distinct value: no fit can tell a body from a tail, so no
+        # model may come back (an all-ones series once chose EP)
+        with pytest.raises(DataError, match="at least 2 distinct counts"):
+            select_nested(counts, CFG)
 
     def test_threshold_validated(self):
         with pytest.raises(DomainError):
