@@ -147,6 +147,12 @@ def _selection_config_snapshot(args, config):
     }
 
 
+SUMMARY_FIELDS = (
+    "file", "source_id", "bin_seconds", "n", "chosen", "alpha", "weights",
+    "lambdas", "loglik", "bic", "log_bf_ep_p", "log_bf_eep_ep", "error",
+)
+
+
 def _cmd_fit_select(args):
     started = time.time()
     in_path = Path(args.input)
@@ -154,16 +160,27 @@ def _cmd_fit_select(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = _selection_config_snapshot(args, config)
-    if in_path.is_dir():
+    directory = in_path.is_dir()
+    if directory:
         files = sorted(in_path.glob("*.series"))
         if not files:
             raise DataError(f"{in_path}: no .series files")
     else:
         files = [in_path]
     rows = []
+    n_failed = 0
     for path in files:
         t0 = time.time()
-        series, sel = _select_on_file(path, args, config)
+        try:
+            series, sel = _select_on_file(path, args, config)
+        except TailmixError as exc:
+            # in directory mode one bad series must not cost the others
+            if not directory:
+                raise
+            n_failed += 1
+            print(f"error: {path.name}: {exc}", file=sys.stderr)
+            rows.append({"file": path.name, "error": str(exc)})
+            continue
         manifest = RunManifest(
             subcommand="fit-select", seed=config.seed, config=snapshot,
             inputs=(describe_input(path),),
@@ -193,15 +210,15 @@ def _cmd_fit_select(args):
         })
         print(f"{path.name}: chose {sel.chosen} "
               f"(ln BF EP,P = {sel.log_bf_ep_p:.2f})")
-    if in_path.is_dir():
+    if directory:
         csv_path = out_dir / "summary.csv"
         with csv_path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS, restval="")
             writer.writeheader()
             writer.writerows(rows)
-        print(f"wrote {csv_path} ({len(rows)} series)")
+        print(f"wrote {csv_path} ({len(rows)} series, {n_failed} failed)")
     print(f"done in {time.time() - started:.1f}s")
-    return 0
+    return 1 if n_failed else 0
 
 
 def _cmd_classify(args):

@@ -1,7 +1,10 @@
 """Flow-record ingestion and binning.
 
 Flow files are delimited text (comma or tab) with a header naming a
-start_time column in seconds. Counting uses half-open windows
+start_time column in seconds. Flow and series files are parsed by
+numpy's C reader in one pass; a per-row loop reads the file again only
+when that pass fails, so the values and the line-numbered errors are the
+loop's on every input. Counting uses half-open windows
 [k*w, (k+1)*w) aligned to multiples of the window size, starting at the
 window containing the first flow. An optional uptime sidecar restricts
 counting to bins that lie wholly inside a measured interval.
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +31,34 @@ def _sniff_delimiter(header: str) -> str:
     return "\t" if "\t" in header else ","
 
 
+def _parse_body(path, **kwargs):
+    """Parse every line after the header with one C-reader pass.
+
+    Returns None where the reader raises, and the caller's row loop reads
+    the file again: it either gives the same values or reports the fault
+    the way it always has. That includes what only the reader trips on,
+    such as a plain-text file named *.gz, which numpy would decompress.
+    The reader's empty-input warning is silenced for the same reason.
+    The reader opens the path anew, so a pipe, whose header the caller
+    has already consumed, is left to the row loop.
+    """
+    if not path.is_file():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, skiprows=1, comments=None, encoding="utf-8",
+                              **kwargs)
+    except Exception:
+        return None
+
+
 def read_flow_file(path) -> np.ndarray:
-    """Read flow start times (seconds) from a delimited text file."""
+    """Read flow start times (seconds) from a delimited text file.
+
+    Blank and whitespace-only lines are skipped; a short row, a value that
+    is not a number and a non-finite value are DataErrors naming the line.
+    """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
         first = fh.readline()
@@ -39,21 +69,28 @@ def read_flow_file(path) -> np.ndarray:
         if "start_time" not in header:
             raise DataError(f"{path}: header has no start_time column: {header}")
         col = header.index("start_time")
-        times = []
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) <= col:
-                raise DataError(f"{path}:{lineno}: missing start_time field")
-            try:
-                t = float(row[col])
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: bad start_time {row[col]!r}"
-                ) from None
-            if not math.isfinite(t):
-                raise DataError(f"{path}:{lineno}: non-finite start_time")
-            times.append(t)
+        times = _parse_body(path, delimiter=delim, quotechar='"', usecols=col,
+                            ndmin=1)
+        if times is None or not times.size or not np.isfinite(times).all():
+            times = _start_times_by_row(fh, path, delim, col)
+    return times
+
+
+def _start_times_by_row(fh, path, delim, col) -> np.ndarray:
+    """The row loop behind read_flow_file, reading fh from after the header."""
+    times = []
+    for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) <= col:
+            raise DataError(f"{path}:{lineno}: missing start_time field")
+        try:
+            t = float(row[col])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad start_time {row[col]!r}") from None
+        if not math.isfinite(t):
+            raise DataError(f"{path}:{lineno}: non-finite start_time")
+        times.append(t)
     if not times:
         raise DataError(f"{path}: no flow records")
     return np.asarray(times, dtype=np.float64)
@@ -161,16 +198,14 @@ def bin_at_windows(
 
 def write_series_file(path, series: BinnedSeries) -> None:
     """Write counts with a one-line JSON header. Round-trips exactly."""
-    path = Path(path)
     head = {
         "bin_seconds": series.bin_seconds,
         "source_id": series.source_id,
         "n": series.n,
     }
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("#" + json.dumps(head, sort_keys=True) + "\n")
-        for c in series.counts:
-            fh.write(f"{int(c)}\n")
+    lines = ["#" + json.dumps(head, sort_keys=True)]
+    lines += map(str, series.counts.tolist())
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_series_file(path) -> BinnedSeries:
@@ -186,15 +221,11 @@ def read_series_file(path) -> BinnedSeries:
         for key in ("bin_seconds", "source_id", "n"):
             if key not in head:
                 raise DataError(f"{path}: header missing {key!r}")
-        counts = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                counts.append(int(line))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad count {line!r}") from None
+        counts = _parse_body(path, dtype=np.int64, ndmin=2)
+        if counts is None or not counts.size or counts.shape[1] != 1:
+            counts = _counts_by_line(fh, path)
+        else:
+            counts = counts[:, 0]
     if len(counts) != head["n"]:
         raise DataError(
             f"{path}: header says n={head['n']} but found {len(counts)} counts"
@@ -204,3 +235,17 @@ def read_series_file(path) -> BinnedSeries:
         bin_seconds=float(head["bin_seconds"]),
         source_id=str(head["source_id"]),
     )
+
+
+def _counts_by_line(fh, path) -> list:
+    """The line loop behind read_series_file, reading fh from after the header."""
+    counts = []
+    for lineno, line in enumerate(fh, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            counts.append(int(line))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad count {line!r}") from None
+    return counts

@@ -1,5 +1,6 @@
 """Command-line pipeline: outputs, determinism, schema conformance."""
 
+import csv
 import json
 import os
 import subprocess
@@ -145,7 +146,35 @@ class TestFitSelectCommand:
         lines = (out / "summary.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header plus one series
         assert lines[0].startswith("file,source_id,bin_seconds,n,chosen")
+        assert lines[0].endswith(",error")
         assert ",EP," in lines[1]
+        assert lines[1].endswith(",")  # no error
+
+    def test_directory_mode_isolates_failing_series(self, series_file, tmp_path,
+                                                    capsys):
+        write_series_file(series_file.parent / "flat.series",
+                          BinnedSeries(np.full(50, 4), bin_seconds=8.0))
+        out = tmp_path / "fits"
+        rc = main(["fit-select", "--input", str(series_file.parent),
+                   "--restarts", "4", "--seed", "5", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: flat.series:")
+        assert "at least 2 distinct counts" in err
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["file"] for r in rows] == ["flat.series", "sim-ep-n1500.series"]
+        assert "at least 2 distinct counts" in rows[0]["error"]
+        assert rows[0]["chosen"] == rows[0]["n"] == ""
+        assert rows[1]["error"] == ""
+        assert rows[1]["chosen"] == "EP"
+        assert not (out / "flat.fit-report.json").exists()
+        # the good series gets the report it gets when fitted alone
+        alone = tmp_path / "alone"
+        assert main(["fit-select", "--input", str(series_file), "--restarts", "4",
+                     "--seed", "5", "--out-dir", str(alone)]) == 0
+        name = "sim-ep-n1500.fit-report.json"
+        assert (out / name).read_bytes() == (alone / name).read_bytes()
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         rc = main(["fit-select", "--input", str(tmp_path)])

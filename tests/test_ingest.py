@@ -1,10 +1,16 @@
 """Flow parsing, window binning, uptime filtering, series round-trips."""
 
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tailmix import ingest
 from tailmix.errors import DataError
 from tailmix.ingest import (
     STANDARD_WINDOWS,
@@ -159,6 +165,90 @@ class TestFlowFile:
         with pytest.raises(DataError, match="no flow records"):
             read_flow_file(p)
 
+    def test_header_only_is_quiet(self, tmp_path, capfd):
+        p = tmp_path / "flows.csv"
+        p.write_text("start_time,bytes\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match="no flow records"):
+                read_flow_file(p)
+        assert caught == []
+        assert capfd.readouterr().err == ""
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        p = tmp_path / "flows.csv"
+        p.write_text("start_time,bytes\n1.5,10\n   \n\t\n2.5,20\n")
+        np.testing.assert_array_equal(read_flow_file(p), [1.5, 2.5])
+
+    def test_hash_value_rejected(self, tmp_path):
+        p = tmp_path / "flows.csv"
+        p.write_text("start_time,bytes\n1.5,10\n#2.5,20\n3.5,30\n")
+        with pytest.raises(DataError, match=r":3: bad start_time '#2\.5'"):
+            read_flow_file(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        p = tmp_path / "flows.csv"
+        p.write_text(f"start_time\n1.5\n2.5\n{value}\n")
+        with pytest.raises(DataError, match=":4: non-finite start_time"):
+            read_flow_file(p)
+
+    def test_short_row(self, tmp_path):
+        p = tmp_path / "flows.tsv"
+        p.write_text("flow_id\tstart_time\na\t1.5\nb\n")
+        with pytest.raises(DataError, match=":3: missing start_time field"):
+            read_flow_file(p)
+
+    def test_quoted_field(self, tmp_path):
+        p = tmp_path / "flows.csv"
+        # split at every comma, the first row would read 5 as its start_time
+        p.write_text('flow_id,start_time\n"a,5,b",1.5\nc,2.5\n')
+        np.testing.assert_array_equal(read_flow_file(p), [1.5, 2.5])
+        p.write_text('flow_id,start_time\nc,"2.5"\n')
+        np.testing.assert_array_equal(read_flow_file(p), [2.5])
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_text_with_compressed_suffix(self, tmp_path, suffix):
+        p = tmp_path / f"flows.csv{suffix}"
+        p.write_text("start_time\n1.5\n2.5\n")
+        np.testing.assert_array_equal(read_flow_file(p), [1.5, 2.5])
+        s = tmp_path / f"x.series{suffix}"
+        write_series_file(s, BinnedSeries(np.array([4, 1]), bin_seconds=4.0))
+        np.testing.assert_array_equal(read_series_file(s).counts, [4, 1])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_read_once(self, tmp_path):
+        # more than the pipe's buffer, so the writer is still writing when
+        # a second open of the pipe would start reading mid-file
+        times = [i * 0.125 for i in range(40000)]
+        fifo = tmp_path / "flows.csv"
+        os.mkfifo(fifo)
+
+        def write():
+            with fifo.open("w") as fh:
+                fh.write("start_time\n" + "".join(f"{t}\n" for t in times))
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            np.testing.assert_array_equal(read_flow_file(fifo), times)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_clean_file_skips_row_loop(self, tmp_path, monkeypatch):
+        def no_loop(*args):
+            raise AssertionError("row loop ran on a clean file")
+
+        monkeypatch.setattr(ingest, "_start_times_by_row", no_loop)
+        monkeypatch.setattr(ingest, "_counts_by_line", no_loop)
+        p = tmp_path / "flows.csv"
+        p.write_text("start_time,bytes\r\n0.25,1\r\n\r\n8.5,2\r\n")
+        np.testing.assert_array_equal(read_flow_file(p), [0.25, 8.5])
+        s = tmp_path / "x.series"
+        write_series_file(s, BinnedSeries(np.array([4, 1]), bin_seconds=4.0))
+        np.testing.assert_array_equal(read_series_file(s).counts, [4, 1])
+
 
 class TestUptimeFile:
     def test_reads_intervals(self, tmp_path):
@@ -203,3 +293,152 @@ class TestSeriesFile:
         p.write_text('#{"bin_seconds": 4, "source_id": "a", "n": 2}\n1\noops\n')
         with pytest.raises(DataError, match=":3"):
             read_series_file(p)
+
+
+# -- property tests: the C-reader path against the row loops it stands for --
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+_NUMBER = st.one_of(
+    st.floats(-1e7, 1e7, allow_nan=False).map(repr),
+    st.floats(0, 1e6, allow_nan=False).map("{:.6f}".format),
+    st.floats(-1e3, 1e3, allow_nan=False).map("{:e}".format),
+    st.integers(-10**6, 10**6).map(str),
+)
+_JUNK = st.sampled_from([
+    "", " ", "nan", "inf", "-Infinity", "1e999", "#1", "1_0", "x", "0x1",
+    "1.5.5", "+.5", ".5e-3", '"', '"1"2', '1"2"', '""', '"1', "\u0661",
+])
+_GOOD_START_TIME = st.one_of(
+    _NUMBER,
+    _NUMBER.map(lambda v: f" {v}\t"),
+    _NUMBER.map(lambda v: f'"{v}"'),
+)
+_START_TIME = st.one_of(_GOOD_START_TIME, _JUNK)
+_GOOD_OTHER = st.text(alphabet="ab1 ", max_size=4)
+_OTHER = st.text(alphabet='ab1 ",\t', max_size=4)
+
+
+@st.composite
+def flow_texts(draw):
+    """A flow file: header, data rows, blank and whitespace-only lines."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    n_cols = draw(st.integers(1, 4))
+    col = draw(st.integers(0, n_cols - 1))
+    header = [f"c{i}" for i in range(n_cols)]
+    header[col] = "start_time"
+    clean = draw(st.booleans())  # no line the C reader rejects
+    lines = [delim.join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kinds = ["row"] * 6 + ["blank"] + ([] if clean else ["space", "short"])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "  ", "\t", " \t "])))
+        else:
+            cells = [draw(_GOOD_OTHER if clean else _OTHER) for _ in range(n_cols)]
+            cells[col] = draw(_GOOD_START_TIME if clean else _START_TIME)
+            if kind == "short":
+                cells = cells[:draw(st.integers(0, n_cols))]
+            lines.append(delim.join(cells))
+    trailing = draw(st.booleans())
+    return newline.join(lines) + (newline if trailing else "")
+
+
+def _by_row_loop(path):
+    """read_flow_file's header handling, then only the row loop."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        first = fh.readline()
+        delim = ingest._sniff_delimiter(first)
+        col = first.rstrip("\r\n").split(delim).index("start_time")
+        return ingest._start_times_by_row(fh, path, delim, col)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(flow_texts())
+    def test_flow_file_equals_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("flows") / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(read_flow_file, path)
+        want = _outcome(_by_row_loop, path)
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].dtype == np.float64
+            np.testing.assert_array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    @PROPERTY_SETTINGS
+    @given(
+        counts=st.lists(st.integers(0, 2**62), max_size=40),
+        bin_seconds=st.floats(1e-3, 1e6, allow_nan=False),
+        source_id=st.text(max_size=12),
+    )
+    def test_series_round_trip(self, tmp_path_factory, counts, bin_seconds,
+                               source_id):
+        path = tmp_path_factory.mktemp("series") / "x.series"
+        s = BinnedSeries(np.array(counts, dtype=np.int64),
+                         bin_seconds=bin_seconds, source_id=source_id)
+        write_series_file(path, s)
+        back = read_series_file(path)
+        assert back.counts.dtype == np.int64
+        np.testing.assert_array_equal(back.counts, s.counts)
+        assert back.bin_seconds == bin_seconds
+        assert back.source_id == source_id
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.sampled_from(["", " ", "\t", " 7 ", "+3", "-0", "1.0", "1e3", "1 2",
+                         "1,2", "5_0", '"5"', "#5", "x", "\u0665", "2" * 20]),
+    ), max_size=10))
+    def test_series_body_equals_line_loop(self, tmp_path_factory, body):
+        path = tmp_path_factory.mktemp("series") / "x.series"
+        n = sum(1 for line in body if line.strip())
+        path.write_text(f'#{{"bin_seconds": 4, "n": {n}, "source_id": "s"}}\n'
+                        + "".join(line + "\n" for line in body), encoding="utf-8")
+
+        def by_line():
+            with path.open(encoding="utf-8") as fh:
+                fh.readline()
+                return ingest._counts_by_line(fh, path)
+
+        want = _outcome(by_line)
+        if want[0] == "ok" and any(c >= 2**63 for c in want[1]):
+            with pytest.raises(OverflowError):  # as the line loop's array
+                read_series_file(path)
+        elif want[0] == "ok" and any(c < 0 for c in want[1]):
+            with pytest.raises(DataError, match="negative count"):
+                read_series_file(path)
+        else:
+            assert _outcome(lambda: read_series_file(path).counts.tolist()) == want
+
+    @PROPERTY_SETTINGS
+    @given(
+        times=st.lists(st.floats(-1000, 10000, allow_nan=False), min_size=1,
+                       max_size=200),
+        w=st.sampled_from((0.5, 1.5) + STANDARD_WINDOWS),
+        drop=st.booleans(),
+        spans=st.lists(st.tuples(st.floats(-1000, 10000), st.floats(0.5, 5000)),
+                       max_size=3),
+        with_uptime=st.booleans(),
+    )
+    def test_bin_flows_equals_dict_oracle(self, times, w, drop, spans,
+                                          with_uptime):
+        uptime = [(b, b + d) for b, d in spans] if with_uptime else None
+        s = bin_flows(times, w, uptime=uptime, drop_zeros=drop)
+        ref, drop_up, drop_z = oracle_bin(times, w, uptime, drop)
+        np.testing.assert_array_equal(s.counts, np.array(ref, dtype=np.int64))
+        assert s.meta["n_bins_dropped_uptime"] == drop_up
+        assert s.meta["n_zero_bins_dropped"] == drop_z
+        assert s.meta["n_flows"] == len(times)
