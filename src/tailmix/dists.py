@@ -142,16 +142,29 @@ def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:
 
 
 def _pareto_table(params: ParetoParams) -> np.ndarray:
-    """Cumulative pmf over x_min..x_min+L-1, extended until it covers
-    _TABLE_MASS or hits the size cap."""
+    """Cumulative pmf over x_min..x_min+L-1. L starts at 1024 and doubles
+    until the table covers _TABLE_MASS or reaches _TABLE_MAX.
+
+    The table is built in place in one _TABLE_MAX buffer: each doubling
+    computes only its new terms and carries the running sum on from the
+    last entry. The running sum adds in order, so every prefix equals a
+    one-shot cumsum of that length bit for bit. Tables are not kept
+    across calls: a full table is 8 MB, and a fit grid cycles through
+    several alphas.
+    """
     z = kernels.zeta_pair(params.alpha, float(params.x_min))[0]
-    size = 1 << 10
+    cum = np.empty(_TABLE_MAX)
+    lo, hi = 0, 1 << 10
     while True:
-        vals = params.x_min + np.arange(size, dtype=np.float64)
-        cum = np.cumsum(vals ** (-params.alpha) / z)
-        if cum[-1] >= _TABLE_MASS or size >= _TABLE_MAX:
-            return cum
-        size <<= 1
+        new = cum[lo:hi]
+        new[:] = np.arange(params.x_min + lo, params.x_min + hi, dtype=np.float64)
+        np.power(new, -params.alpha, out=new)
+        new /= z
+        run = cum[max(lo - 1, 0) : hi]
+        np.cumsum(run, out=run)
+        if cum[hi - 1] >= _TABLE_MASS or hi >= _TABLE_MAX:
+            return cum[:hi]
+        lo, hi = hi, hi << 1
 
 
 def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:

@@ -24,12 +24,13 @@ restart's result is bit-identical to running it alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import DataError, FitError
+from .errors import DataError, DomainError, FitError
 from .mixture import BinnedSeries, MixtureParams, ModelSpec, aggregate_counts
 from .seeding import DEFAULT_SEED, substream
 
@@ -59,6 +60,12 @@ class FitConfig:
 
     restarts: int = 20
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self):
+        if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
+            raise DomainError(
+                f"restarts must be a positive integer, got {self.restarts!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -154,14 +161,7 @@ def _objective(values, log_values, mult, spec):
     k = spec.n_exp
     a_mat, b_vec = slack_system(spec)
 
-    def neg_phi(theta, barrier):
-        s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
-        ok = ~(s <= 0.0).any(axis=1)
-        f = np.full(theta.shape[0], np.inf)
-        g = np.full(theta.shape, np.nan)
-        if not ok.any():
-            return f, g
-        theta, s, barrier = theta[ok], s[ok], barrier[ok]
+    def feasible_neg_phi(theta, s, barrier):
         m = np.empty((theta.shape[0], k + 1))
         m[:, :k] = theta[:, :k]
         m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
@@ -177,8 +177,17 @@ def _objective(values, log_values, mult, spec):
         grad[:, -1] = g_alpha
         phi = ll + barrier * np.log(s).sum(axis=1)
         grad += barrier[:, None] * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0]
-        f[ok] = -phi
-        g[ok] = -grad
+        return -phi, -grad
+
+    def neg_phi(theta, barrier):
+        s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
+        ok = ~(s <= 0.0).any(axis=1)
+        if ok.all():
+            return feasible_neg_phi(theta, s, barrier)
+        f = np.full(theta.shape[0], np.inf)
+        g = np.full(theta.shape, np.nan)
+        if ok.any():
+            f[ok], g[ok] = feasible_neg_phi(theta[ok], s[ok], barrier[ok])
         return f, g
 
     return neg_phi
@@ -190,28 +199,33 @@ _HALVINGS = np.ldexp(1.0, -np.arange(int(-math.log2(_MIN_STEP)) + 1))
 
 
 def _feasible_steps(a_mat, b_vec, x, d, step):
-    """Largest feasible step in step, step/2, step/4, ... for each row.
+    """Largest feasible step in step, step/2, step/4, ... for each row,
+    and the trial point there.
 
     Row r tries x[r] + t * d[r] for the halvings t of step[r] that are
     not below _MIN_STEP, with the objective's own slack test, and gets
     the first t that passes, or 0.0 if none does. Halving is exact, so
     this is the step that backtracking past infeasible points one trial
     at a time would reach. The current step is tested first; only rows
-    where it fails scan the whole ladder.
+    where it fails scan the rest of the ladder. Returns (steps, points)
+    with points[r] = x[r] + steps[r] * d[r] wherever a step was found.
     """
-    found = np.zeros(step.shape)
-    rows = np.arange(step.shape[0])
-    for halvings in (_HALVINGS[:1], _HALVINGS[1:]):
-        steps = step[rows, None] * halvings
-        points = x[rows, None, :] + steps[:, :, None] * d[rows, None, :]
-        s = (a_mat @ points[..., None])[..., 0] + b_vec
-        ok = ~(s <= 0.0).any(axis=2) & (steps >= _MIN_STEP)
-        hit = ok.any(axis=1)
-        found[rows[hit]] = steps[hit, ok[hit].argmax(axis=1)]
-        rows = rows[~hit]
-        if not rows.size:
-            break
-    return found
+    points = x + step[:, None] * d
+    s = (a_mat @ points[:, :, None])[..., 0] + b_vec
+    ok = ~(s <= 0.0).any(axis=1) & (step >= _MIN_STEP)
+    if ok.all():
+        return step, points
+    found = np.where(ok, step, 0.0)
+    rows = (~ok).nonzero()[0]
+    steps = step[rows, None] * _HALVINGS[1:]
+    ladder = x[rows, None, :] + steps[:, :, None] * d[rows, None, :]
+    s = (a_mat @ ladder[..., None])[..., 0] + b_vec
+    ok = ~(s <= 0.0).any(axis=2) & (steps >= _MIN_STEP)
+    hit = ok.any(axis=1)
+    first = ok[hit].argmax(axis=1)
+    found[rows[hit]] = steps[hit, first]
+    points[rows[hit]] = ladder[hit, first]
+    return found, points
 
 
 # Phases of one restart in the lockstep run. START, SEARCH and FINAL
@@ -275,15 +289,15 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         stage[rows] += 1
         phase[rows] = np.where(stage[rows] < n_stages, _START, _FINAL)
 
-    def begin_iteration(rows):
-        """Top of a BFGS iteration: gradient test, then descent direction."""
-        done = np.abs(g[rows]).max(axis=1) <= INNER_TOL
+    def begin_iteration(rows, g_r):
+        """Top of a BFGS iteration: gradient test, then descent direction.
+        ``g_r`` is g[rows]."""
+        done = np.abs(g_r).max(axis=1) <= INNER_TOL
         if done.any():
             end_stage(rows[done], "gradtol", it[rows[done]] - 1)
-            rows = rows[~done]
+            rows, g_r = rows[~done], g_r[~done]
         if not rows.size:
             return
-        g_r = g[rows]
         d_r = ((-h_inv[rows]) @ g_r[:, :, None])[..., 0]
         slope_r = _row_dot(d_r, g_r)
         uphill = slope_r >= 0.0
@@ -310,82 +324,93 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         first_update[rows] = True
         stalls[rows] = 0
         it[rows] = 1
-        begin_iteration(rows)
+        begin_iteration(rows, g0)
 
     def try_step(rows, x_new, f_new, g_new):
         """Armijo test of each row's trial point; BFGS update where it passes."""
+        f_r = f[rows]
         accept = np.isfinite(f_new) & (
-            f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
+            f_new <= f_r + _ARMIJO_C1 * step[rows] * slope[rows]
         )
         if not accept.all():
             rejected = rows[~accept]
             step[rejected] *= 0.5
             too_small = rejected[step[rejected] < _MIN_STEP]
             end_stage(too_small, "linesearch", it[too_small])
-            rows, x_new, f_new, g_new = (
-                rows[accept], x_new[accept], f_new[accept], g_new[accept]
-            )
-            if not rows.size:
+            if not accept.any():
                 return
+            rows, x_new, f_new, g_new, f_r = (
+                rows[accept], x_new[accept], f_new[accept], g_new[accept], f_r[accept]
+            )
         s = x_new - x[rows]
         y = g_new - g[rows]
         sy = _row_dot(s, y)
-        curved = sy > 1e-12 * np.sqrt(_row_dot(s, s)) * np.sqrt(_row_dot(y, y))
+        yy = _row_dot(y, y)
+        curved = sy > 1e-12 * np.sqrt(_row_dot(s, s)) * np.sqrt(yy)
         scale = curved & first_update[rows]
         if scale.any():
-            h_inv[rows[scale]] *= (sy[scale] / _row_dot(y[scale], y[scale]))[:, None, None]
+            h_inv[rows[scale]] *= (sy[scale] / yy[scale])[:, None, None]
             first_update[rows[scale]] = False
-        if curved.any():
-            upd, s_c, y_c = rows[curved], s[curved], y[curved]
-            rho = (1.0 / sy[curved])[:, None, None]
+        upd, s_c, y_c, sy_c = rows, s, y, sy
+        if not curved.all():
+            upd, s_c, y_c, sy_c = rows[curved], s[curved], y[curved], sy[curved]
+        if upd.size:
+            rho = (1.0 / sy_c)[:, None, None]
             v = eye - rho * (s_c[:, :, None] * y_c[:, None, :])
             h_inv[upd] = v @ h_inv[upd] @ v.transpose(0, 2, 1) + rho * (
                 s_c[:, :, None] * s_c[:, None, :]
             )
         # once improvements sink into float rounding of f, stop: the
         # gradient test may be unreachable in double precision
-        flat = f[rows] - f_new <= 1e-12 * (np.abs(f[rows]) + 1.0)
-        stalls[rows] = np.where(flat, stalls[rows] + 1, 0)
+        flat = f_r - f_new <= 1e-12 * (np.abs(f_r) + 1.0)
+        stalls_r = np.where(flat, stalls[rows] + 1, 0)
+        stalls[rows] = stalls_r
         x[rows] = x_new
         f[rows] = f_new
         g[rows] = g_new
-        stop = flat & (stalls[rows] >= 2)
+        stop = flat & (stalls_r >= 2)
         if stop.any():
             end_stage(rows[stop], "stalled", it[rows[stop]])
-            rows = rows[~stop]
+            rows, g_new = rows[~stop], g_new[~stop]
         capped = it[rows] >= MAX_INNER_ITERS
         if capped.any():
             end_stage(rows[capped], "maxiter", it[rows[capped]])
-            rows = rows[~capped]
+            rows, g_new = rows[~capped], g_new[~capped]
         it[rows] += 1
-        begin_iteration(rows)
+        begin_iteration(rows, g_new)
 
     while True:
-        searching = np.flatnonzero(phase == _SEARCH)
+        searching = (phase == _SEARCH).nonzero()[0]
         if searching.size:
-            step[searching] = _feasible_steps(
+            found, trial_x = _feasible_steps(
                 a_mat, b_vec, x[searching], d[searching], step[searching]
             )
-            stuck = searching[step[searching] == 0.0]
-            end_stage(stuck, "linesearch", it[stuck])
-        pending = np.flatnonzero(phase <= _FINAL)
+            step[searching] = found
+            stuck = found == 0.0
+            if stuck.any():
+                end_stage(searching[stuck], "linesearch", it[searching[stuck]])
+                searching, trial_x = searching[~stuck], trial_x[~stuck]
+        pending = (phase <= _FINAL).nonzero()[0]
         if not pending.size:
             break
+        if searching.size == pending.size:
+            f_new, g_new = fun(trial_x, barrier[stage[pending]])
+            try_step(pending, trial_x, f_new, g_new)
+            continue
         kind = phase[pending]
         trial = kind == _SEARCH
-        rows = pending[trial]
         points = x[pending]
-        points[trial] = x[rows] + step[rows][:, None] * d[rows]
+        if searching.size:
+            points[trial] = trial_x
         f_new, g_new = fun(points, barrier[stage[pending]])
-        if rows.size < pending.size:
-            final = kind == _FINAL
-            loglik[pending[final]] = -f_new[final]
-            phase[pending[final]] = _DONE
-            start = kind == _START
-            if start.any():
-                start_stage(pending[start], f_new[start], g_new[start])
-        if rows.size:
-            try_step(rows, points[trial], f_new[trial], g_new[trial])
+        final = kind == _FINAL
+        loglik[pending[final]] = -f_new[final]
+        phase[pending[final]] = _DONE
+        start = kind == _START
+        if start.any():
+            start_stage(pending[start], f_new[start], g_new[start])
+        if searching.size:
+            try_step(searching, trial_x, f_new[trial], g_new[trial])
 
     return x, loglik, g, iters, status, errors
 

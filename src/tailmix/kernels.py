@@ -10,6 +10,7 @@ and ``mixture`` all evaluate it through these helpers.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,10 @@ ZETA_MIN_TERMS = 100
 ZETA_MAX_TERMS = 1_000_000
 # Largest number of terms of a batched direct sum held in memory at once.
 ZETA_CHUNK_ELEMS = 1 << 16
+# Longest direct sum whose bases are kept between calls, and how many
+# (q, K) pairs are kept: at most 64 x 4096 x 16 bytes, 4 MB.
+ZETA_CACHE_TERMS = 4096
+ZETA_CACHE_ENTRIES = 64
 
 
 def _zeta_terms(alpha: float) -> int:
@@ -42,19 +47,36 @@ def _zeta_tail(alpha, q, k_terms, s0, s1):
     n_edge = q + k_terms
     ln_n = math.log(n_edge)
     am1 = alpha - 1.0
+    pow_b2 = n_edge ** (-alpha - 1.0)
+    pow_b4 = n_edge ** (-alpha - 3.0)
     t_int = n_edge ** (-am1) / am1
     t_half = 0.5 * n_edge ** (-alpha)
-    t_b2 = alpha * n_edge ** (-alpha - 1.0) / 12.0
+    t_b2 = alpha * pow_b2 / 12.0
     poly = alpha * (alpha + 1.0) * (alpha + 2.0)
-    t_b4 = poly * n_edge ** (-alpha - 3.0) / 720.0
+    t_b4 = poly * pow_b4 / 720.0
     zeta = s0 + t_int + t_half + t_b2 - t_b4
     d_int = -t_int * (ln_n + 1.0 / am1)
     d_half = -ln_n * t_half
-    d_b2 = (1.0 - alpha * ln_n) * n_edge ** (-alpha - 1.0) / 12.0
+    d_b2 = (1.0 - alpha * ln_n) * pow_b2 / 12.0
     d_poly = 3.0 * alpha * alpha + 6.0 * alpha + 2.0
-    d_b4 = (d_poly - poly * ln_n) * n_edge ** (-alpha - 3.0) / 720.0
+    d_b4 = (d_poly - poly * ln_n) * pow_b4 / 720.0
     dzeta = s1 + d_int + d_half + d_b2 - d_b4
     return zeta, dzeta
+
+
+@functools.lru_cache(maxsize=ZETA_CACHE_ENTRIES)
+def _cached_bases(q, k_terms):
+    """``_bases``, kept read-only for the last ZETA_CACHE_ENTRIES pairs."""
+    base, log_base = _bases(q, k_terms)
+    base.flags.writeable = False
+    log_base.flags.writeable = False
+    return base, log_base
+
+
+def _bases(q, k_terms):
+    """The direct-sum bases q, q+1, ..., q+k_terms-1 and their logs."""
+    base = q + np.arange(k_terms, dtype=np.float64)
+    return base, np.log(base)
 
 
 def zeta_pair(alpha, q):
@@ -67,17 +89,23 @@ def zeta_pair(alpha, q):
     ``alpha`` may be a 1-D array, which gives arrays. The direct sums of
     alphas with the same K are taken together (a batch of one for scalar
     alpha); the tail is evaluated per alpha in scalar arithmetic, where
-    numpy's vector power would differ from ``pow`` in the last bit.
+    numpy's vector power and log would differ from libm's in the last
+    bit. The bases q + arange(K) and their logs are kept between calls
+    for K up to ZETA_CACHE_TERMS; the longer ones of alphas near 1 are
+    built per call and dropped.
     """
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     alpha_list = alphas.tolist()
     terms = [_zeta_terms(a) for a in alpha_list]
+    if len(set(terms)) == 1:
+        groups = [(terms[0], np.arange(len(terms)))]
+    else:
+        groups = [(k, np.flatnonzero(np.equal(terms, k))) for k in sorted(set(terms))]
     zeta = np.empty(alphas.shape)
     dzeta = np.empty(alphas.shape)
-    for k_terms in sorted(set(terms)):
-        rows = np.flatnonzero(np.equal(terms, k_terms))
-        base = q + np.arange(k_terms, dtype=np.float64)
-        log_base = np.log(base)
+    for k_terms, rows in groups:
+        bases = _cached_bases if k_terms <= ZETA_CACHE_TERMS else _bases
+        base, log_base = bases(q, k_terms)
         chunk = max(1, ZETA_CHUNK_ELEMS // k_terms)
         for lo in range(0, rows.size, chunk):
             part = rows[lo : lo + chunk]

@@ -181,6 +181,15 @@ class TestFitSelectCommand:
         assert rc == 1
         assert "no .series" in capsys.readouterr().err
 
+    def test_zero_restarts_fail_before_any_output(self, series_file, tmp_path, capsys):
+        out = tmp_path / "fit"
+        rc = main(["fit-select", "--input", str(series_file), "--restarts", "0",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: restarts must be a positive integer, got 0\n"
+        assert not out.exists()
+
     def test_one_value_series_fails(self, tmp_path, capsys):
         path = tmp_path / "flat.series"
         write_series_file(path, BinnedSeries(np.full(50, 4), bin_seconds=8.0))

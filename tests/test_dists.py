@@ -7,6 +7,7 @@ import pytest
 import scipy.special
 
 import frozen_values as fv
+from tailmix import dists
 from tailmix.dists import (
     ExpParams,
     ParetoParams,
@@ -170,3 +171,37 @@ class TestSampling:
         xs = sample_pareto(p, 300_000, seed=8)
         expected = fv.ZETA_ALPHA_2 / hurwitz_zeta(3.0)
         assert xs.mean() == pytest.approx(expected, rel=0.02)
+
+
+def _pareto_table_rebuilt(params):
+    """The sampling table rebuilt whole at every doubling: the
+    reference the in-place build must match bit for bit."""
+    z = hurwitz_zeta(params.alpha, params.x_min)
+    size = 1 << 10
+    while True:
+        vals = params.x_min + np.arange(size, dtype=np.float64)
+        cum = np.cumsum(vals ** (-params.alpha) / z)
+        if cum[-1] >= dists._TABLE_MASS or size >= dists._TABLE_MAX:
+            return cum
+        size <<= 1
+
+
+class TestParetoTable:
+    def test_in_place_build_equals_rebuild_bit_for_bit(self):
+        sizes = set()
+        for alpha in (1.05, 1.2, 1.6, 2.0, 3.5, 3.99):
+            for x_min in (1, 3):
+                p = ParetoParams(alpha, x_min)
+                want = _pareto_table_rebuilt(p)
+                got = dists._pareto_table(p)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                sizes.add(want.size)
+        # the grid stops early at three sizes and runs to the cap
+        assert {1 << 13, 1 << 15, 1 << 16, dists._TABLE_MAX} <= sizes
+
+    def test_draws_equal_draws_from_rebuilt_table(self, monkeypatch):
+        params = [ParetoParams(1.2), ParetoParams(2.0, 3), ParetoParams(3.99)]
+        got = [sample_pareto(p, 50_000, seed=21) for p in params]
+        monkeypatch.setattr(dists, "_pareto_table", _pareto_table_rebuilt)
+        for p, xs in zip(params, got):
+            np.testing.assert_array_equal(xs, sample_pareto(p, 50_000, seed=21))

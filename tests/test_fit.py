@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tailmix import kernels
-from tailmix.errors import DataError, FitError
+from tailmix.errors import DataError, DomainError, FitError
 from tailmix.fit import (
     FitConfig,
     FittedModel,
@@ -159,6 +159,12 @@ class TestFitModel:
         assert fm.params.lambdas[0] >= fm.params.lambdas[1]
         assert sum(fm.params.weights) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_non_positive_restarts_rejected(self, restarts):
+        msg = f"restarts must be a positive integer, got {restarts}"
+        with pytest.raises(DomainError, match=msg):
+            FitConfig(restarts=restarts)
+
     def test_all_restarts_failing_raises_fit_error(self, monkeypatch):
         real = kernels.mix_loglik_grad
 
@@ -238,20 +244,39 @@ class TestFeasibleSteps:
             x = x.reshape(40, spec.dof)
             d = rng.normal(size=x.shape) * 10.0 ** rng.uniform(-2, 15, size=(40, 1))
             step = 0.5 ** rng.integers(0, 6, size=40).astype(float)
-            got = fit_module._feasible_steps(a, b, x, d, step)
-            want = [_halving_reference(a, b, x[r], d[r], step[r]) for r in range(40)]
-            np.testing.assert_array_equal(got, want)
+            got = self._check_against_reference(a, b, x, d, step)
             # the draws cover a first-try step, a long scan, and no step
             assert (got == step).any()
             assert ((got > 0.0) & (got < 1e-3 * step)).any()
             assert (got == 0.0).any()
+            # a batch whose current steps all pass, and the same batch
+            # with one row sent down the ladder
+            short = d * (1e-4 / np.abs(d).max(axis=1, keepdims=True))
+            got = self._check_against_reference(a, b, x, short, step)
+            assert (got == step).all()
+            short[7] = d[7] * (1e4 / np.abs(d[7]).max())
+            got = self._check_against_reference(a, b, x, short, step)
+            assert 0.0 < got[7] < step[7]
+            assert (np.delete(got, 7) == np.delete(step, 7)).all()
+
+    @staticmethod
+    def _check_against_reference(a, b, x, d, step):
+        """Steps equal sequential halving; trial points equal x + t*d."""
+        got, points = fit_module._feasible_steps(a, b, x, d, step)
+        want = [_halving_reference(a, b, x[r], d[r], step[r]) for r in range(len(x))]
+        np.testing.assert_array_equal(got, want)
+        found = got > 0.0
+        np.testing.assert_array_equal(
+            points[found], x[found] + got[found, None] * d[found]
+        )
+        return got
 
     def test_no_feasible_step_ends_stage_linesearch(self):
         a, b = slack_system(P)
         x = np.array([[2.0], [2.0]])
         # alpha - 1e20 * 2**-46 is far below 1: no step down to _MIN_STEP works
         d = np.array([[-1e20], [-0.1]])
-        got = fit_module._feasible_steps(a, b, x, d, np.ones(2))
+        got, points = fit_module._feasible_steps(a, b, x, d, np.ones(2))
         assert got[0] == 0.0 and got[1] == 1.0
         assert _halving_reference(a, b, x[0], d[0], 1.0) == 0.0
 

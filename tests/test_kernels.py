@@ -136,3 +136,32 @@ def test_batched_rows_equal_single_calls():
                 np.testing.assert_array_equal(out[1][r], one[1])
                 np.testing.assert_array_equal(out[2][r], one[2])
                 assert out[3][r] == one[3]
+
+
+def _zeta_pair_fresh(alpha, q):
+    """zeta_pair's arithmetic for one alpha, with its bases built afresh."""
+    k_terms = kernels._zeta_terms(alpha)
+    base = q + np.arange(k_terms, dtype=np.float64)
+    t = base ** (-np.array([alpha])[:, None])
+    s0 = t.sum(axis=1).tolist()[0]
+    s1 = -(np.log(base) * t).sum(axis=1).tolist()[0]
+    return kernels._zeta_tail(alpha, q, k_terms, s0, s1)
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_zeta_batches_equal_scalar_calls_on_cold_and_warm_cache(q):
+    mixed = [1.0001, 1.05, 1.6, 3.9, 1.05]
+    same = [1.6, 3.9, 2.2]
+    terms = {kernels._zeta_terms(a) for a in mixed}
+    assert len(terms) == 3 and max(terms) > kernels.ZETA_CACHE_TERMS
+    kernels._cached_bases.cache_clear()
+    for _cache in ("cold", "warm"):
+        for alphas in (mixed, same):
+            want = [_zeta_pair_fresh(a, q) for a in alphas]
+            z, dz = kernels.zeta_pair(np.array(alphas), q)
+            for r, a in enumerate(alphas):
+                assert (z[r], dz[r]) == want[r]
+                assert kernels.zeta_pair(a, q) == want[r]
+    # the 10^5-term bases of alpha 1.0001 are not kept
+    kept = {k for k in terms if k <= kernels.ZETA_CACHE_TERMS}
+    assert kernels._cached_bases.cache_info().currsize == len(kept)
