@@ -32,7 +32,7 @@ from .experiments import (
     run_preset,
     run_selection_strength,
 )
-from .fit import FitConfig, FittedModel, fit_model
+from .fit import FitConfig, FittedModel, bic, fit_model
 from .ingest import (
     STANDARD_WINDOWS,
     bin_at_windows,
@@ -58,7 +58,6 @@ from .select import (
     DEFAULT_THRESHOLD,
     SelectionResult,
     Strength,
-    bic,
     log_bayes_factor,
     select_nested,
     strength_label,

@@ -32,6 +32,7 @@ from .ingest import (
     write_series_file,
 )
 from .mixture import (
+    LABELS,
     BinnedSeries,
     MixtureParams,
     ModelSpec,
@@ -264,7 +265,7 @@ def _cmd_classify(args):
 
 def _cmd_simulate(args):
     started = time.time()
-    n_exp = {"P": 0, "EP": 1, "EEP": 2}[args.model]
+    n_exp = LABELS.index(args.model)
     weights = _parse_numbers(args.weights) if args.weights else None
     lambdas = _parse_numbers(args.lambdas) if args.lambdas else ()
     if weights is None:
@@ -376,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=_cmd_classify)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic count series")
-    p_sim.add_argument("--model", choices=("P", "EP", "EEP"), required=True)
+    p_sim.add_argument("--model", choices=LABELS, required=True)
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--weights", default=None,
                        help="comma-separated mixing weights, tail last")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError, EstimationError
 from .fit import FitConfig, fit_model
-from .mixture import MixtureParams, ModelSpec, sample_mixture
+from .mixture import LABELS, MixtureParams, ModelSpec, sample_mixture
 from .seeding import DEFAULT_SEED, child_seed, substream
 from .select import select_nested
 
@@ -132,7 +132,7 @@ def get_preset(name: str):
 
 
 def _spec_for(label: str, x_min: int) -> ModelSpec:
-    return ModelSpec({"P": 0, "EP": 1, "EEP": 2}[label], x_min=x_min)
+    return ModelSpec(LABELS.index(label), x_min=x_min)
 
 
 def _iqr(values) -> float:

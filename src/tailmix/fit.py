@@ -12,13 +12,13 @@ stage from the last. The inner solver is BFGS with Armijo backtracking.
 Multiple random restarts guard against local optima; the restart with
 the best raw log-likelihood wins.
 
-All restarts of a fit run together in lockstep: each keeps its own BFGS
-state, and one batched objective call per round evaluates every
-restart's pending point. Backtracking never evaluates a point outside
-the feasible set: the slacks are affine and halving a step is exact, so
-one scan of the halved steps finds the first feasible trial step, the
-one that rejecting infeasible points one at a time would reach. Every
-restart's result is bit-identical to running it alone.
+The restarts of a fit run each stage together, each with its own BFGS
+state: one batched objective call opens the stage, and one per round
+evaluates every pending line-search trial. Backtracking never evaluates
+a point outside the feasible set: the slacks are affine and halving a
+step is exact, so one scan of the halved steps finds the first feasible
+trial step, the one that rejecting infeasible points one at a time
+would reach. Every restart's result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -68,6 +68,15 @@ class FitConfig:
             )
 
 
+def bic(loglik: float, n: int, dof: int) -> float:
+    """Schwarz approximation to the log evidence: loglik - log(n) * dof / 2."""
+    if n < 1:
+        raise DomainError(f"n must be a positive count, got {n}")
+    if dof < 0:
+        raise DomainError(f"dof must be nonnegative, got {dof}")
+    return loglik - 0.5 * math.log(n) * dof
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """A fitted mixture: parameters at the best restart plus diagnostics."""
@@ -82,7 +91,7 @@ class FittedModel:
     @property
     def bic(self) -> float:
         """Schwarz approximation to the log model evidence."""
-        return self.loglik - 0.5 * math.log(self.n) * self.spec.dof
+        return bic(self.loglik, self.n, self.spec.dof)
 
 
 def slack_system(spec: ModelSpec):
@@ -150,8 +159,8 @@ def random_init(spec: ModelSpec, rng: np.random.Generator):
 def _objective(values, log_values, mult, spec):
     """Return f(theta, barrier) -> (-phi, -grad) for a batch of points.
 
-    ``theta`` has shape (B, d) and ``barrier`` holds one barrier weight
-    per row. Rows outside the feasible set get +inf and a NaN gradient;
+    ``theta`` has shape (B, d) and ``barrier`` is one barrier weight for
+    every row. Rows outside the feasible set get +inf and a NaN gradient;
     the feasible rows go through one zeta and one kernel call. Every
     operation is shaped so that row b equals the evaluation of a batch
     of one at that point, bit for bit.
@@ -176,7 +185,7 @@ def _objective(values, log_values, mult, spec):
         grad[:, k : 2 * k] = g_lam
         grad[:, -1] = g_alpha
         phi = ll + barrier * np.log(s).sum(axis=1)
-        grad += barrier[:, None] * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0]
+        grad += barrier * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0]
         return -phi, -grad
 
     def neg_phi(theta, barrier):
@@ -187,7 +196,7 @@ def _objective(values, log_values, mult, spec):
         f = np.full(theta.shape[0], np.inf)
         g = np.full(theta.shape, np.nan)
         if ok.any():
-            f[ok], g[ok] = feasible_neg_phi(theta[ok], s[ok], barrier[ok])
+            f[ok], g[ok] = feasible_neg_phi(theta[ok], s[ok], barrier)
         return f, g
 
     return neg_phi
@@ -228,12 +237,6 @@ def _feasible_steps(a_mat, b_vec, x, d, step):
     return found, points
 
 
-# Phases of one restart in the lockstep run. START, SEARCH and FINAL
-# rows each need one objective value per round; DONE rows have ended or
-# failed.
-_START, _SEARCH, _FINAL, _DONE = range(4)
-
-
 def _row_dot(u, v):
     """u[r] @ v[r] for each row, as a (1, d) @ (d, 1) product per row."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -242,26 +245,25 @@ def _row_dot(u, v):
 def _lockstep(fun, a_mat, b_vec, theta0):
     """Run every restart through the barrier schedule together.
 
-    Row r of ``theta0`` starts restart r. Each restart runs BFGS with
-    Armijo backtracking for each barrier weight in turn, warm-started
-    from the last stage, and ends with an evaluation of the raw
-    log-likelihood (barrier weight 0). Each restart keeps its own
-    iterate, inverse Hessian, step and stage; one call of ``fun`` per
-    round evaluates every restart's pending point (a stage start, a
-    line-search trial, or the final log-likelihood). Trial points
-    outside the feasible set are skipped by ``_feasible_steps`` rather
-    than evaluated.
+    Row r of ``theta0`` starts restart r. For each weight in
+    BARRIER_WEIGHTS, every live restart runs one stage of BFGS with
+    Armijo backtracking, warm-started from the last: one call of ``fun``
+    at every live iterate opens the stage, then each round evaluates one
+    line-search trial for every restart still in it. Each restart keeps
+    its own iterate, inverse Hessian and step. Trial points outside the
+    feasible set are skipped by ``_feasible_steps`` rather than
+    evaluated. One call at barrier weight 0 then gives the raw
+    log-likelihoods.
 
     A stage ends "gradtol" (gradient infinity norm met), "stalled"
     (improvements fell below float rounding of f), "linesearch" (no
-    acceptable step down to _MIN_STEP) or "maxiter". Returns
-    (theta, loglik, grad, iters, stage_status, errors), one entry per
-    restart; grad is the final stage's gradient and errors[r] is None
-    unless restart r failed.
+    acceptable step down to _MIN_STEP) or "maxiter". A restart whose
+    stage opens at a non-finite value fails. Returns (theta, f, grad,
+    loglik, iters, stage_status, errors), one entry per restart: f and
+    grad are the last stage's objective and gradient at theta; loglik is
+    -inf and errors[r] a message where restart r failed, else None.
     """
     n_rows, dim = theta0.shape
-    n_stages = len(BARRIER_WEIGHTS)
-    barrier = np.array(BARRIER_WEIGHTS + (0.0,))
     eye = np.eye(dim)
     x = np.array(theta0, dtype=np.float64)
     f = np.zeros(n_rows)
@@ -274,20 +276,16 @@ def _lockstep(fun, a_mat, b_vec, theta0):
     step = np.ones(n_rows)
     d = np.zeros((n_rows, dim))
     slope = np.zeros(n_rows)
-    stage = np.zeros(n_rows, dtype=np.int64)
-    phase = np.full(n_rows, _START)
+    live = np.ones(n_rows, dtype=bool)
+    in_stage = np.zeros(n_rows, dtype=bool)
     loglik = np.full(n_rows, -np.inf)
     status = [[] for _ in range(n_rows)]
-    errors = [None] * n_rows
 
     def end_stage(rows, name, done_iters):
-        if not rows.size:
-            return
         iters[rows] += done_iters
         for r in rows.tolist():
             status[r].append(name)
-        stage[rows] += 1
-        phase[rows] = np.where(stage[rows] < n_stages, _START, _FINAL)
+        in_stage[rows] = False
 
     def begin_iteration(rows, g_r):
         """Top of a BFGS iteration: gradient test, then descent direction.
@@ -296,8 +294,6 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         if done.any():
             end_stage(rows[done], "gradtol", it[rows[done]] - 1)
             rows, g_r = rows[~done], g_r[~done]
-        if not rows.size:
-            return
         d_r = ((-h_inv[rows]) @ g_r[:, :, None])[..., 0]
         slope_r = _row_dot(d_r, g_r)
         uphill = slope_r >= 0.0
@@ -309,22 +305,6 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         d[rows] = d_r
         slope[rows] = slope_r
         step[rows] = 1.0
-        phase[rows] = _SEARCH
-
-    def start_stage(rows, f0, g0):
-        bad = ~np.isfinite(f0)
-        if bad.any():
-            for r in rows[bad].tolist():
-                errors[r] = "starting point is infeasible"
-            phase[rows[bad]] = _DONE
-            rows, f0, g0 = rows[~bad], f0[~bad], g0[~bad]
-        f[rows] = f0
-        g[rows] = g0
-        h_inv[rows] = eye
-        first_update[rows] = True
-        stalls[rows] = 0
-        it[rows] = 1
-        begin_iteration(rows, g0)
 
     def try_step(rows, x_new, f_new, g_new):
         """Armijo test of each row's trial point; BFGS update where it passes."""
@@ -379,40 +359,41 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         it[rows] += 1
         begin_iteration(rows, g_new)
 
-    while True:
-        searching = (phase == _SEARCH).nonzero()[0]
-        if searching.size:
+    for weight in BARRIER_WEIGHTS:
+        rows = live.nonzero()[0]
+        if not rows.size:
+            break
+        f0, g0 = fun(x[rows], weight)
+        bad = ~np.isfinite(f0)
+        if bad.any():
+            live[rows[bad]] = False
+            rows, f0, g0 = rows[~bad], f0[~bad], g0[~bad]
+        f[rows] = f0
+        g[rows] = g0
+        h_inv[rows] = eye
+        first_update[rows] = True
+        stalls[rows] = 0
+        it[rows] = 1
+        in_stage[rows] = True
+        begin_iteration(rows, g0)
+        while in_stage.any():
+            rows = in_stage.nonzero()[0]
             found, trial_x = _feasible_steps(
-                a_mat, b_vec, x[searching], d[searching], step[searching]
+                a_mat, b_vec, x[rows], d[rows], step[rows]
             )
-            step[searching] = found
+            step[rows] = found
             stuck = found == 0.0
             if stuck.any():
-                end_stage(searching[stuck], "linesearch", it[searching[stuck]])
-                searching, trial_x = searching[~stuck], trial_x[~stuck]
-        pending = (phase <= _FINAL).nonzero()[0]
-        if not pending.size:
-            break
-        if searching.size == pending.size:
-            f_new, g_new = fun(trial_x, barrier[stage[pending]])
-            try_step(pending, trial_x, f_new, g_new)
-            continue
-        kind = phase[pending]
-        trial = kind == _SEARCH
-        points = x[pending]
-        if searching.size:
-            points[trial] = trial_x
-        f_new, g_new = fun(points, barrier[stage[pending]])
-        final = kind == _FINAL
-        loglik[pending[final]] = -f_new[final]
-        phase[pending[final]] = _DONE
-        start = kind == _START
-        if start.any():
-            start_stage(pending[start], f_new[start], g_new[start])
-        if searching.size:
-            try_step(searching, trial_x, f_new[trial], g_new[trial])
+                end_stage(rows[stuck], "linesearch", it[rows[stuck]])
+                rows, trial_x = rows[~stuck], trial_x[~stuck]
+            if rows.size:
+                try_step(rows, trial_x, *fun(trial_x, weight))
 
-    return x, loglik, g, iters, status, errors
+    rows = live.nonzero()[0]
+    if rows.size:
+        loglik[rows] = -fun(x[rows], 0.0)[0]
+    errors = [None if ok else "starting point is infeasible" for ok in live]
+    return x, f, g, loglik, iters, status, errors
 
 
 def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
@@ -426,14 +407,9 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
     """
     if config is None:
         config = FitConfig()
-    if isinstance(series, BinnedSeries):
-        counts = series.counts
-        fingerprint = series.fingerprint()
-    else:
+    if not isinstance(series, BinnedSeries):
         series = BinnedSeries(np.asarray(series), bin_seconds=1.0)
-        counts = series.counts
-        fingerprint = series.fingerprint()
-    values, mult = aggregate_counts(counts, spec.x_min)
+    values, mult = aggregate_counts(series.counts, spec.x_min)
     if values.shape[0] < 2:
         raise DataError(
             f"need at least 2 distinct counts >= x_min={spec.x_min} to fit "
@@ -447,18 +423,16 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
     theta0 = np.array(
         [random_init(spec, substream(config.seed, r)) for r in range(config.restarts)]
     ).reshape(config.restarts, spec.dof)
-    thetas, logliks, grads, iters, status, errors = _lockstep(fun, a_mat, b_vec, theta0)
+    thetas, fs, grads, logliks, iters, status, errors = _lockstep(
+        fun, a_mat, b_vec, theta0
+    )
 
-    restart_logliks = []
+    restart_logliks = [float(ll) for ll in logliks]
     restart_reports = []
-    best = None
     for r in range(config.restarts):
         if errors[r] is not None:
-            restart_logliks.append(float("-inf"))
             restart_reports.append({"error": errors[r]})
             continue
-        ll = float(logliks[r])
-        restart_logliks.append(ll)
         restart_reports.append(
             {
                 "iters": int(iters[r]),
@@ -466,21 +440,21 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
                 "grad_inf_norm": float(np.abs(grads[r]).max()),
             }
         )
-        if np.isfinite(ll) and (best is None or ll > best[0]):
-            best = (ll, r, thetas[r])
 
-    if best is None:
+    finite = np.isfinite(logliks)
+    if not finite.any():
         raise FitError(
             f"all {config.restarts} restarts failed for model {spec.label}",
             partial={"restart_logliks": restart_logliks, "restarts": restart_reports},
         )
-    ll, r_best, theta = best
-    neg_phi, _ = fun(theta[None], np.array([BARRIER_WEIGHTS[-1]]))
+    # the first restart with the largest finite log-likelihood wins
+    r_best = int(np.where(finite, logliks, -np.inf).argmax())
+    ll, theta = restart_logliks[r_best], thetas[r_best]
     diagnostics = {
         "restart_chosen": r_best,
         "restart_logliks": restart_logliks,
         "restarts": restart_reports,
-        "barrier_residual": float(abs(-neg_phi[0] - ll)),
+        "barrier_residual": float(abs(-fs[r_best] - ll)),
         "n_unique_values": int(values.shape[0]),
     }
     return FittedModel(
@@ -488,6 +462,6 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
         params=theta_to_params(theta, spec).canonical(),
         loglik=ll,
         n=n,
-        data_fingerprint=fingerprint,
+        data_fingerprint=series.fingerprint(),
         diagnostics=diagnostics,
     )

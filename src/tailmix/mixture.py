@@ -17,7 +17,8 @@ from .dists import ALPHA_MIN, EXP_MODES, ExpParams, ParetoParams
 from .errors import ContractError, DataError, DomainError, UnsupportedOperationError
 from .seeding import substream
 
-_LABELS = {0: "P", 1: "EP", 2: "EEP"}
+# Model labels, indexed by the number of exponential components
+LABELS = ("P", "EP", "EEP")
 
 # tail_threshold scan limit; fitted models cross far below this
 _SCAN_MAX = 1 << 34
@@ -42,7 +43,7 @@ class ModelSpec:
 
     @property
     def label(self) -> str:
-        return _LABELS[self.n_exp]
+        return LABELS[self.n_exp]
 
     @property
     def n_components(self) -> int:

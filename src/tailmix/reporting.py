@@ -31,13 +31,11 @@ class RunManifest:
     seed: int
     config: dict
     inputs: tuple = ()
-    tool: str = "tailmix"
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "tailmix",
+            "version": __version__,
             "subcommand": self.subcommand,
             "seed": self.seed,
             "config": dict(self.config),

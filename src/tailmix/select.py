@@ -8,12 +8,12 @@ earn their place.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ContractError, DomainError, FitError
-from .fit import FitConfig, FittedModel, fit_model
+# bic lives in fit; it is imported here so select.bic keeps working
+from .fit import FitConfig, FittedModel, bic, fit_model
 from .mixture import ModelSpec
 
 # Accept the larger nested model only above this natural-log Bayes
@@ -33,15 +33,6 @@ _BAND_NAMES = ("negligible", "substantial", "strong", "decisive")
 class Strength(NamedTuple):
     label: str
     sign: int
-
-
-def bic(loglik: float, n: int, dof: int) -> float:
-    """Schwarz approximation to the log evidence: loglik - log(n) * dof / 2."""
-    if n < 1:
-        raise DomainError(f"n must be a positive count, got {n}")
-    if dof < 0:
-        raise DomainError(f"dof must be nonnegative, got {dof}")
-    return loglik - 0.5 * math.log(n) * dof
 
 
 def log_bayes_factor(model_a: FittedModel, model_b: FittedModel) -> float:

@@ -107,7 +107,7 @@ def test_criterion_06_analytic_gradients_match_fd():
     log_values = np.log(values)
     for spec in (ModelSpec(0), ModelSpec(1), ModelSpec(2)):
         fun = fit_module._objective(values, log_values, mult, spec)
-        raw = np.zeros(1)
+        raw = 0.0
         for point in range(20):
             theta = random_init(spec, substream(909, spec.n_exp, point))
             grad = fun(theta[None], raw)[1][0]

@@ -76,7 +76,7 @@ class TestGradients:
         objective = fit_module._objective(values, log_values, mult, spec)
 
         def fun(t):
-            f, g = objective(t[None], np.zeros(1))
+            f, g = objective(t[None], 0.0)
             return f[0], g[0]
 
         _, grad = fun(theta)
@@ -192,6 +192,30 @@ class TestFitModel:
         fm = fit_model([3, 4, 3, 9], spec, FitConfig(restarts=2, seed=1))
         assert fm.diagnostics["n_unique_values"] == 3
 
+    def test_permuted_counts_give_the_same_fit_bit_for_bit(self):
+        sample = sample_mixture(EP, MixtureParams((0.5, 0.5), (0.2,), 1.6), 1500, seed=3)
+        shuffled = substream(12).permutation(sample)
+        assert not np.array_equal(shuffled, sample)
+        a = fit_model(sample, EP, FitConfig(restarts=4, seed=10))
+        b = fit_model(shuffled, EP, FitConfig(restarts=4, seed=10))
+        assert a.params == b.params
+        assert a.loglik == b.loglik
+        assert a.diagnostics == b.diagnostics
+        assert a.data_fingerprint != b.data_fingerprint
+
+    @pytest.mark.parametrize("spec", [P, EP, EEP], ids=lambda s: s.label)
+    def test_barrier_residual_is_last_stage_gap_at_chosen_theta(self, spec):
+        truth = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
+        sample = sample_mixture(EEP, truth, 2000, seed=9)
+        fm = fit_model(sample, spec, FitConfig(restarts=4, seed=6))
+        k = spec.n_exp
+        theta = np.array(fm.params.weights[:k] + fm.params.lambdas + (fm.params.alpha,))
+        values, mult = aggregate_counts(sample, spec.x_min)
+        fun = fit_module._objective(values, np.log(values), mult, spec)
+        neg_phi = fun(theta[None], fit_module.BARRIER_WEIGHTS[-1])[0][0]
+        assert fm.diagnostics["barrier_residual"] == abs(-neg_phi - fm.loglik)
+        assert fm.loglik == -fun(theta[None], 0.0)[0][0]  # raw, no barrier term
+
     def test_x_min_respected(self):
         spec = ModelSpec(1, x_min=3)
         truth = MixtureParams((0.5, 0.5), (0.5,), 2.0)
@@ -219,11 +243,12 @@ class TestLockstep:
         for r in range(5):
             alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1].reshape(1, -1))
             np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
-            assert batch[1][r] == alone[1][0]  # log-likelihood
+            assert batch[1][r] == alone[1][0]  # last stage's objective
             np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
-            assert batch[3][r] == alone[3][0]  # iterations
-            assert batch[4][r] == alone[4][0]  # stage statuses
-            assert batch[5][r] is None and alone[5][0] is None
+            assert batch[3][r] == alone[3][0]  # log-likelihood
+            assert batch[4][r] == alone[4][0]  # iterations
+            assert batch[5][r] == alone[5][0]  # stage statuses
+            assert batch[6][r] is None and alone[6][0] is None
 
 
 def _halving_reference(a, b, x, d, step):
@@ -288,7 +313,7 @@ class TestFeasibleSteps:
             calls.append(theta.copy())
             return np.zeros(theta.shape[0]), np.full(theta.shape, 1e20)
 
-        theta, ll, _, iters, status, errors = fit_module._lockstep(
+        theta, _, _, ll, iters, status, errors = fit_module._lockstep(
             steep, a, b, np.array([[2.0]])
         )
         assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)

@@ -91,11 +91,21 @@ class TestDensities:
         direct = (np.array(params.weights)[:, None] * comp).sum(axis=0)
         np.testing.assert_allclose(mixture_pmf(xs, EEP, params), direct, rtol=1e-12)
 
-    def test_log_likelihood_equals_weighted_log_pmf_sum(self):
-        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    @pytest.mark.parametrize(
+        "n_exp, params",
+        [
+            (0, MixtureParams((1.0,), (), 1.7)),
+            (1, MixtureParams((0.5, 0.5), (0.3,), 1.7)),
+            (2, MixtureParams((0.3, 0.3, 0.4), (1.2, 0.2), 1.7)),
+        ],
+        ids=["P", "EP", "EEP"],
+    )
+    def test_log_likelihood_equals_weighted_log_pmf_sum(self, n_exp, params, exp_mode):
+        spec = ModelSpec(n_exp, exp_mode=exp_mode)
         counts = np.array([1, 1, 2, 3, 3, 3, 17, 120])
-        direct = mixture_log_pmf(counts, EP, params).sum()
-        assert log_likelihood(counts, EP, params) == pytest.approx(direct, rel=1e-12)
+        direct = mixture_log_pmf(counts, spec, params).sum()
+        assert log_likelihood(counts, spec, params) == pytest.approx(direct, rel=1e-12)
 
     def test_densities_name_value_below_x_min(self):
         params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
