@@ -120,7 +120,7 @@ def _cmd_bin(args):
         inputs.append(describe_input(args.uptime))
     manifest = RunManifest(
         subcommand="bin",
-        seed=_resolve_seed(None),
+        seed=DEFAULT_SEED,  # binning draws no random numbers
         config={"windows": list(windows), "drop_zeros": args.drop_zeros},
         inputs=tuple(inputs),
     )

@@ -13,12 +13,14 @@ Multiple random restarts guard against local optima; the restart with
 the best raw log-likelihood wins.
 
 The restarts of a fit run each stage together, each with its own BFGS
-state: one batched objective call opens the stage, and one per round
-evaluates every pending line-search trial. Backtracking never evaluates
-a point outside the feasible set: the slacks are affine and halving a
-step is exact, so one scan of the halved steps finds the first feasible
-trial step, the one that rejecting infeasible points one at a time
-would reach. Every restart's result is bit-identical to running it alone.
+state. One batched log-likelihood call evaluates the starting points,
+and one per round evaluates every pending line-search trial; a stage
+opens by reweighting the barrier term from the values stored at each
+iterate, so no point is evaluated twice. Backtracking never evaluates a
+point outside the feasible set: the slacks are affine and halving a step
+is exact, so one scan of the halved steps finds the first feasible trial
+step, the one that rejecting infeasible points one at a time would
+reach. Every restart's result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -157,20 +159,20 @@ def random_init(spec: ModelSpec, rng: np.random.Generator):
 
 
 def _objective(values, log_values, mult, spec):
-    """Return f(theta, barrier) -> (-phi, -grad) for a batch of points.
+    """Return f(theta) -> (loglik, grad) for a batch of feasible points.
 
-    ``theta`` has shape (B, d) and ``barrier`` is one barrier weight for
-    every row. Rows outside the feasible set get +inf and a NaN gradient;
-    the feasible rows go through one zeta and one kernel call. Every
-    operation is shaped so that row b equals the evaluation of a batch
-    of one at that point, bit for bit.
+    ``theta`` has shape (B, d), and every row must have all slacks
+    A @ theta + b > 0: the starting points are feasible by construction
+    and ``_feasible_steps`` only hands out feasible trial points. The
+    rows go through one zeta and one kernel call. Every operation is
+    shaped so that row b equals the evaluation of a batch of one at that
+    point, bit for bit. The barrier term is added by ``_barrier``.
     """
     literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
-    a_mat, b_vec = slack_system(spec)
 
-    def feasible_neg_phi(theta, s, barrier):
+    def loglik_grad(theta):
         m = np.empty((theta.shape[0], k + 1))
         m[:, :k] = theta[:, :k]
         m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
@@ -184,22 +186,19 @@ def _objective(values, log_values, mult, spec):
         grad[:, :k] = g_m[:, :k] - g_m[:, k, None]
         grad[:, k : 2 * k] = g_lam
         grad[:, -1] = g_alpha
-        phi = ll + barrier * np.log(s).sum(axis=1)
-        grad += barrier * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0]
-        return -phi, -grad
+        return ll, grad
 
-    def neg_phi(theta, barrier):
-        s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
-        ok = ~(s <= 0.0).any(axis=1)
-        if ok.all():
-            return feasible_neg_phi(theta, s, barrier)
-        f = np.full(theta.shape[0], np.inf)
-        g = np.full(theta.shape, np.nan)
-        if ok.any():
-            f[ok], g[ok] = feasible_neg_phi(theta[ok], s[ok], barrier)
-        return f, g
+    return loglik_grad
 
-    return neg_phi
+
+def _barrier(a_mat, b_vec, theta, ll, grad, weight):
+    """(-phi, -grad phi) at feasible rows ``theta`` from their raw
+    log-likelihoods ``ll`` and gradients ``grad``, where phi = ll + weight
+    * sum(log(s)) and s = A @ theta + b. The only code that adds the barrier.
+    """
+    s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
+    phi = ll + weight * np.log(s).sum(axis=1)
+    return -phi, -(grad + weight * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0])
 
 
 # Every step a line search can try from a unit step: 1, 1/2, 1/4, ...
@@ -245,27 +244,31 @@ def _row_dot(u, v):
 def _lockstep(fun, a_mat, b_vec, theta0):
     """Run every restart through the barrier schedule together.
 
-    Row r of ``theta0`` starts restart r. For each weight in
-    BARRIER_WEIGHTS, every live restart runs one stage of BFGS with
-    Armijo backtracking, warm-started from the last: one call of ``fun``
-    at every live iterate opens the stage, then each round evaluates one
-    line-search trial for every restart still in it. Each restart keeps
-    its own iterate, inverse Hessian and step. Trial points outside the
-    feasible set are skipped by ``_feasible_steps`` rather than
-    evaluated. One call at barrier weight 0 then gives the raw
-    log-likelihoods.
+    Row r of ``theta0`` starts restart r. One call of ``fun`` evaluates
+    every starting point. For each weight in BARRIER_WEIGHTS, every live
+    restart then runs one stage of BFGS with Armijo backtracking,
+    warm-started from the last. A stage opens by reweighting the barrier
+    term from the raw log-likelihood and gradient stored at each
+    iterate, without a call of ``fun``; each round then evaluates one
+    line-search trial for every restart still in the stage. Each restart
+    keeps its own iterate, inverse Hessian and step. Trial points
+    outside the feasible set are skipped by ``_feasible_steps`` rather
+    than evaluated.
 
     A stage ends "gradtol" (gradient infinity norm met), "stalled"
     (improvements fell below float rounding of f), "linesearch" (no
     acceptable step down to _MIN_STEP) or "maxiter". A restart whose
-    stage opens at a non-finite value fails. Returns (theta, f, grad,
-    loglik, iters, stage_status, errors), one entry per restart: f and
-    grad are the last stage's objective and gradient at theta; loglik is
-    -inf and errors[r] a message where restart r failed, else None.
+    starting log-likelihood is not finite fails. Returns (theta, f,
+    grad, loglik, iters, stage_status, errors), one entry per restart:
+    f and grad are the last stage's objective and gradient at theta;
+    loglik is the raw log-likelihood there, or -inf and errors[r] a
+    message where restart r failed, else None.
     """
     n_rows, dim = theta0.shape
     eye = np.eye(dim)
     x = np.array(theta0, dtype=np.float64)
+    ll, ll_grad = fun(x)
+    live = np.isfinite(ll)
     f = np.zeros(n_rows)
     g = np.zeros((n_rows, dim))
     h_inv = np.zeros((n_rows, dim, dim))
@@ -276,9 +279,7 @@ def _lockstep(fun, a_mat, b_vec, theta0):
     step = np.ones(n_rows)
     d = np.zeros((n_rows, dim))
     slope = np.zeros(n_rows)
-    live = np.ones(n_rows, dtype=bool)
     in_stage = np.zeros(n_rows, dtype=bool)
-    loglik = np.full(n_rows, -np.inf)
     status = [[] for _ in range(n_rows)]
 
     def end_stage(rows, name, done_iters):
@@ -306,8 +307,10 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         slope[rows] = slope_r
         step[rows] = 1.0
 
-    def try_step(rows, x_new, f_new, g_new):
-        """Armijo test of each row's trial point; BFGS update where it passes."""
+    def try_step(rows, x_new, weight):
+        """Evaluate the trial points; Armijo test; BFGS update where it passes."""
+        ll_new, ll_grad_new = fun(x_new)
+        f_new, g_new = _barrier(a_mat, b_vec, x_new, ll_new, ll_grad_new, weight)
         f_r = f[rows]
         accept = np.isfinite(f_new) & (
             f_new <= f_r + _ARMIJO_C1 * step[rows] * slope[rows]
@@ -322,6 +325,7 @@ def _lockstep(fun, a_mat, b_vec, theta0):
             rows, x_new, f_new, g_new, f_r = (
                 rows[accept], x_new[accept], f_new[accept], g_new[accept], f_r[accept]
             )
+            ll_new, ll_grad_new = ll_new[accept], ll_grad_new[accept]
         s = x_new - x[rows]
         y = g_new - g[rows]
         sy = _row_dot(s, y)
@@ -348,6 +352,8 @@ def _lockstep(fun, a_mat, b_vec, theta0):
         x[rows] = x_new
         f[rows] = f_new
         g[rows] = g_new
+        ll[rows] = ll_new
+        ll_grad[rows] = ll_grad_new
         stop = flat & (stalls_r >= 2)
         if stop.any():
             end_stage(rows[stop], "stalled", it[rows[stop]])
@@ -361,21 +367,15 @@ def _lockstep(fun, a_mat, b_vec, theta0):
 
     for weight in BARRIER_WEIGHTS:
         rows = live.nonzero()[0]
-        if not rows.size:
-            break
-        f0, g0 = fun(x[rows], weight)
-        bad = ~np.isfinite(f0)
-        if bad.any():
-            live[rows[bad]] = False
-            rows, f0, g0 = rows[~bad], f0[~bad], g0[~bad]
-        f[rows] = f0
-        g[rows] = g0
+        f[rows], g[rows] = _barrier(
+            a_mat, b_vec, x[rows], ll[rows], ll_grad[rows], weight
+        )
         h_inv[rows] = eye
         first_update[rows] = True
         stalls[rows] = 0
         it[rows] = 1
         in_stage[rows] = True
-        begin_iteration(rows, g0)
+        begin_iteration(rows, g[rows])
         while in_stage.any():
             rows = in_stage.nonzero()[0]
             found, trial_x = _feasible_steps(
@@ -387,12 +387,10 @@ def _lockstep(fun, a_mat, b_vec, theta0):
                 end_stage(rows[stuck], "linesearch", it[rows[stuck]])
                 rows, trial_x = rows[~stuck], trial_x[~stuck]
             if rows.size:
-                try_step(rows, trial_x, *fun(trial_x, weight))
+                try_step(rows, trial_x, weight)
 
-    rows = live.nonzero()[0]
-    if rows.size:
-        loglik[rows] = -fun(x[rows], 0.0)[0]
-    errors = [None if ok else "starting point is infeasible" for ok in live]
+    loglik = np.where(live, ll, -np.inf)
+    errors = [None if ok else "starting log-likelihood is not finite" for ok in live]
     return x, f, g, loglik, iters, status, errors
 
 

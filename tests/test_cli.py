@@ -16,6 +16,7 @@ from tailmix.cli import main
 from tailmix.experiments import PRESETS, RecoveryPlan
 from tailmix.ingest import read_series_file, write_series_file
 from tailmix.mixture import BinnedSeries
+from tailmix.seeding import DEFAULT_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -72,6 +73,19 @@ class TestBinCommand:
         report = check_report(out / "trace.bin-report.json")
         assert report["results"][0]["meta"]["n_bins_dropped_uptime"] > 0
         assert len(report["manifest"]["inputs"]) == 2
+
+    def test_bin_report_ignores_seed_env_variable(self, flow_file, tmp_path,
+                                                  monkeypatch):
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        monkeypatch.delenv("TAILMIX_SEED", raising=False)
+        assert main(["bin", "--input", str(flow_file), "--windows", "8",
+                     "--out-dir", str(plain)]) == 0
+        monkeypatch.setenv("TAILMIX_SEED", "99")
+        assert main(["bin", "--input", str(flow_file), "--windows", "8",
+                     "--out-dir", str(seeded)]) == 0
+        name = "trace.bin-report.json"
+        assert (seeded / name).read_bytes() == (plain / name).read_bytes()
+        assert check_report(plain / name)["manifest"]["seed"] == DEFAULT_SEED
 
     def test_bin_missing_input_fails(self, tmp_path, capsys):
         rc = main(["bin", "--input", str(tmp_path / "nope.csv")])

@@ -76,7 +76,7 @@ class TestGradients:
         objective = fit_module._objective(values, log_values, mult, spec)
 
         def fun(t):
-            f, g = objective(t[None], 0.0)
+            f, g = objective(t[None])
             return f[0], g[0]
 
         _, grad = fun(theta)
@@ -212,9 +212,48 @@ class TestFitModel:
         theta = np.array(fm.params.weights[:k] + fm.params.lambdas + (fm.params.alpha,))
         values, mult = aggregate_counts(sample, spec.x_min)
         fun = fit_module._objective(values, np.log(values), mult, spec)
-        neg_phi = fun(theta[None], fit_module.BARRIER_WEIGHTS[-1])[0][0]
+        a, b = slack_system(spec)
+        ll, grad = fun(theta[None])
+        weight = fit_module.BARRIER_WEIGHTS[-1]
+        neg_phi = fit_module._barrier(a, b, theta[None], ll, grad, weight)[0][0]
         assert fm.diagnostics["barrier_residual"] == abs(-neg_phi - fm.loglik)
-        assert fm.loglik == -fun(theta[None], 0.0)[0][0]  # raw, no barrier term
+        assert fm.loglik == ll[0]  # raw, no barrier term
+
+    def test_tied_restarts_pick_the_first(self, monkeypatch):
+        real = fit_module.random_init
+        monkeypatch.setattr(
+            fit_module, "random_init", lambda spec, rng: real(spec, substream(3, 0))
+        )
+        sample = sample_mixture(EP, MixtureParams((0.5, 0.5), (0.2,), 1.6), 1500, seed=3)
+        fm = fit_model(sample, EP, FitConfig(restarts=4, seed=10))
+        assert len(set(fm.diagnostics["restart_logliks"])) == 1
+        assert fm.diagnostics["restart_chosen"] == 0
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    @pytest.mark.parametrize("n_exp", [0, 1, 2])
+    def test_objective_sees_only_feasible_points(self, n_exp, exp_mode, x_min,
+                                                 monkeypatch):
+        real = fit_module._objective
+        rows_seen = []
+
+        def checked(values, log_values, mult, spec):
+            fun = real(values, log_values, mult, spec)
+            a, b = slack_system(spec)
+
+            def loglik_grad(theta):
+                assert ((a @ theta[:, :, None])[..., 0] + b > 0.0).all()
+                rows_seen.append(theta.shape[0])
+                return fun(theta)
+
+            return loglik_grad
+
+        monkeypatch.setattr(fit_module, "_objective", checked)
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        sample = sample_mixture(ModelSpec(1, x_min=x_min), truth, 1200, seed=31)
+        spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
+        fit_model(sample, spec, FitConfig(restarts=4, seed=8))
+        assert rows_seen[0] == 4 and len(rows_seen) > 1
 
     def test_x_min_respected(self):
         spec = ModelSpec(1, x_min=3)
@@ -307,11 +346,11 @@ class TestFeasibleSteps:
 
         calls = []
 
-        def steep(theta, barrier):
-            # gradient 1e20 uphill in alpha: the first BFGS direction
-            # leaves the feasible set at every step
+        def steep(theta):
+            # log-likelihood falling 1e20 per unit of alpha: the first
+            # BFGS direction leaves the feasible set at every step
             calls.append(theta.copy())
-            return np.zeros(theta.shape[0]), np.full(theta.shape, 1e20)
+            return np.zeros(theta.shape[0]), np.full(theta.shape, -1e20)
 
         theta, _, _, ll, iters, status, errors = fit_module._lockstep(
             steep, a, b, np.array([[2.0]])
@@ -319,8 +358,9 @@ class TestFeasibleSteps:
         assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)
         assert iters[0] == len(fit_module.BARRIER_WEIGHTS)
         assert theta[0, 0] == 2.0 and ll[0] == 0.0 and errors[0] is None
-        # three stage starts and the final evaluation; no trial point
-        assert len(calls) == len(fit_module.BARRIER_WEIGHTS) + 1
+        # the starting point only: stage starts reuse its stored value,
+        # and no trial point is feasible
+        assert len(calls) == 1
 
 
 def test_theta_to_params_roundtrip():
