@@ -130,22 +130,34 @@ def _cmd_bin(args):
     return 0
 
 
-def _select_on_file(path, args, config):
+def _select_report(kind, path, args, config):
+    """Run the nested selection on one series file and start its report.
+
+    Returns (series, sel, manifest, results); results holds the fields
+    that fit-select and classify reports share.
+    """
     series = read_series_file(path)
     sel = select_nested(
         series, config, x_min=args.x_min, exp_mode=args.exp_mode,
         threshold=args.threshold,
     )
-    return series, sel
-
-
-def _selection_config_snapshot(args, config):
-    return {
-        "restarts": config.restarts,
-        "threshold": args.threshold,
-        "exp_mode": args.exp_mode,
-        "x_min": args.x_min,
+    manifest = RunManifest(
+        subcommand=kind, seed=config.seed,
+        config={
+            "restarts": config.restarts,
+            "threshold": args.threshold,
+            "exp_mode": args.exp_mode,
+            "x_min": args.x_min,
+        },
+        inputs=(describe_input(path),),
+    )
+    results = {
+        "source_id": series.source_id,
+        "bin_seconds": series.bin_seconds,
+        "n": series.n,
+        "selection": serialize_selection(sel),
     }
+    return series, sel, manifest, results
 
 
 SUMMARY_FIELDS = (
@@ -160,7 +172,6 @@ def _cmd_fit_select(args):
     config = _fit_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    snapshot = _selection_config_snapshot(args, config)
     directory = in_path.is_dir()
     if directory:
         files = sorted(in_path.glob("*.series"))
@@ -173,7 +184,9 @@ def _cmd_fit_select(args):
     for path in files:
         t0 = time.time()
         try:
-            series, sel = _select_on_file(path, args, config)
+            series, sel, manifest, results = _select_report(
+                "fit-select", path, args, config
+            )
         except TailmixError as exc:
             # in directory mode one bad series must not cost the others
             if not directory:
@@ -182,16 +195,6 @@ def _cmd_fit_select(args):
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             rows.append({"file": path.name, "error": str(exc)})
             continue
-        manifest = RunManifest(
-            subcommand="fit-select", seed=config.seed, config=snapshot,
-            inputs=(describe_input(path),),
-        )
-        results = {
-            "source_id": series.source_id,
-            "bin_seconds": series.bin_seconds,
-            "n": series.n,
-            "selection": serialize_selection(sel),
-        }
         report = build_report("fit-select", manifest, results)
         _write_with_runtime(out_dir / f"{path.stem}.fit-report.json", report, t0)
         chosen = sel.chosen_model
@@ -228,7 +231,9 @@ def _cmd_classify(args):
     config = _fit_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series, sel = _select_on_file(in_path, args, config)
+    series, sel, manifest, results = _select_report(
+        "classify", in_path, args, config
+    )
     chosen = sel.chosen_model
     x_star = tail_threshold(chosen.spec, chosen.params)
     values, counts = np.unique(series.counts, return_counts=True)
@@ -239,22 +244,13 @@ def _cmd_classify(args):
         {"value": int(v), "bins": int(c), "tail_responsibility": float(r)}
         for v, c, r in zip(values, counts, r_tail)
     ]
-    manifest = RunManifest(
-        subcommand="classify", seed=config.seed,
-        config=_selection_config_snapshot(args, config),
-        inputs=(describe_input(in_path),),
+    results.update(
+        tail_threshold=x_star,
+        n_tail_bins=n_tail,
+        n_body_bins=series.n - n_tail,
+        tail_bin_fraction=n_tail / series.n,
+        per_value=per_value,
     )
-    results = {
-        "source_id": series.source_id,
-        "bin_seconds": series.bin_seconds,
-        "n": series.n,
-        "selection": serialize_selection(sel),
-        "tail_threshold": x_star,
-        "n_tail_bins": n_tail,
-        "n_body_bins": series.n - n_tail,
-        "tail_bin_fraction": n_tail / series.n,
-        "per_value": per_value,
-    }
     report = build_report("classify", manifest, results)
     _write_with_runtime(out_dir / f"{in_path.stem}.classify-report.json",
                         report, started)

@@ -1,13 +1,13 @@
-"""Component distributions on the integers x >= x_min.
+"""Component parameters, zeta wrappers and samplers on the integers x >= x_min.
 
 Two families: a discrete power law normalized by the Hurwitz zeta
 function, and a discrete exponential. The exponential has two modes:
 "discrete" renormalizes the geometric form so it sums to one on the
 support, "paper-literal" evaluates the unnormalized continuous density
 lam*exp(-lam*x) pointwise. The literal mode is not a probability mass
-function, so sampling under it is refused. The zeta pair and the
-exponential log-amplitude come from ``kernels``, the one numeric core,
-so these densities match what the fits evaluate.
+function, so sampling under it is refused. The component densities are
+evaluated only by ``mixture.component_log_pmfs``, over the ``kernels``
+helpers that the fits use; the power-law sampler reads the same zeta.
 """
 
 from __future__ import annotations
@@ -97,36 +97,6 @@ def hurwitz_zeta_dalpha(alpha: float, x_min: int = 1) -> float:
         raise DomainError(f"alpha must exceed {ALPHA_MIN}, got {alpha}")
     x_min = _check_x_min(x_min)
     return kernels.zeta_pair(alpha, float(x_min))[1]
-
-
-def pareto_log_pmf(x, params: ParetoParams):
-    """Log pmf -alpha*log(x) - log(zeta(alpha, x_min)) on the support."""
-    arr = _check_support(x, params.x_min)
-    z = kernels.zeta_pair(params.alpha, float(params.x_min))[0]
-    out = -params.alpha * np.log(arr) - math.log(z)
-    return float(out) if np.isscalar(x) else out
-
-
-def pareto_pmf(x, params: ParetoParams):
-    return np.exp(pareto_log_pmf(x, params))
-
-
-def exp_log_pmf(x, params: ExpParams, x_min: int = 1):
-    """Log density of the exponential component on the support.
-
-    Discrete mode: log(1 - e^-rate) - rate*(x - x_min), a proper pmf.
-    Literal mode: log(rate) - rate*x, unnormalized by construction.
-    """
-    x_min = _check_x_min(x_min)
-    arr = _check_support(x, x_min)
-    literal = params.mode == "paper-literal"
-    log_amp = kernels.exp_log_amp(np.float64(params.rate), literal)
-    out = log_amp - params.rate * kernels.exp_offset(arr, x_min, literal)
-    return float(out) if np.isscalar(x) else out
-
-
-def exp_pmf(x, params: ExpParams, x_min: int = 1):
-    return np.exp(exp_log_pmf(x, params, x_min))
 
 
 def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import DataError, EstimationError
 from .fit import FitConfig, fit_model
 from .mixture import LABELS, MixtureParams, ModelSpec, sample_mixture
 from .seeding import DEFAULT_SEED, child_seed, substream
-from .select import select_nested
+from .select import log_bayes_factor, select_nested
 
 _LN10 = math.log(10.0)
 # substream tags: raw data draws vs optimizer restarts
@@ -230,7 +230,7 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
             bf_eep_ep = sel.log_bf_eep_ep
             if row.metric == "eep_ep" and bf_eep_ep is None:
                 fit_eep = fit_model(sample, _spec_for("EEP", plan.x_min), fcfg)
-                bf_eep_ep = fit_eep.bic - sel.models["EP"].bic
+                bf_eep_ep = log_bayes_factor(fit_eep, sel.models["EP"])
             chosen_counts[sel.chosen] += 1
             rec = {
                 "rep": rep,

@@ -316,10 +316,9 @@ def _lockstep(fun, a_mat, b_vec, theta0):
             f_new <= f_r + _ARMIJO_C1 * step[rows] * slope[rows]
         )
         if not accept.all():
-            rejected = rows[~accept]
-            step[rejected] *= 0.5
-            too_small = rejected[step[rejected] < _MIN_STEP]
-            end_stage(too_small, "linesearch", it[too_small])
+            # a halved step below _MIN_STEP ends the stage in the next
+            # round's _feasible_steps, with no further objective call
+            step[rows[~accept]] *= 0.5
             if not accept.any():
                 return
             rows, x_new, f_new, g_new, f_r = (

@@ -27,8 +27,13 @@ from .mixture import BinnedSeries
 STANDARD_WINDOWS = (4, 8, 16, 32, 64, 128, 256, 512)
 
 
-def _sniff_delimiter(header: str) -> str:
-    return "\t" if "\t" in header else ","
+def _read_header(fh, path):
+    """(delimiter, column names) from the header line: tab if it has one."""
+    first = fh.readline()
+    if not first.strip():
+        raise DataError(f"{path}: empty file")
+    delim = "\t" if "\t" in first else ","
+    return delim, [c.strip() for c in first.rstrip("\r\n").split(delim)]
 
 
 def _parse_body(path, **kwargs):
@@ -61,11 +66,7 @@ def read_flow_file(path) -> np.ndarray:
     """
     path = Path(path)
     with path.open(encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        header = [c.strip() for c in first.rstrip("\r\n").split(delim)]
+        delim, header = _read_header(fh, path)
         if "start_time" not in header:
             raise DataError(f"{path}: header has no start_time column: {header}")
         col = header.index("start_time")
@@ -101,11 +102,7 @@ def read_uptime_file(path) -> list:
     path = Path(path)
     spans = []
     with path.open(encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise DataError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        header = [c.strip() for c in first.rstrip("\r\n").split(delim)]
+        delim, header = _read_header(fh, path)
         if "begin" not in header or "end" not in header:
             raise DataError(f"{path}: header must name begin and end: {header}")
         bcol, ecol = header.index("begin"), header.index("end")

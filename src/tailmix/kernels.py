@@ -4,8 +4,9 @@ The two hot operations are the Hurwitz zeta pair (value and alpha
 derivative) and the mixture log-likelihood with its analytic gradient.
 The mixture log-density is written once here: the log-amplitude of the
 exponential components, the weighted log term of each component, and
-their log-sum-exp. The kernel and the density functions in ``dists``
-and ``mixture`` all evaluate it through these helpers.
+their log-sum-exp. The kernel and the density functions in ``mixture``
+all evaluate it through these helpers; ``mixture.component_log_pmfs`` is
+the per-component density.
 """
 
 from __future__ import annotations

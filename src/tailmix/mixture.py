@@ -241,6 +241,8 @@ def tail_threshold(spec: ModelSpec, params: MixtureParams) -> int:
 def sample_mixture(spec: ModelSpec, params: MixtureParams, n: int, seed) -> np.ndarray:
     """Draw n values from the mixture. Deterministic given the seed."""
     check_compat(spec, params)
+    if n < 0:
+        raise DomainError(f"sample size must be non-negative, got {n}")
     if spec.exp_mode == "paper-literal" and spec.n_exp > 0:
         raise UnsupportedOperationError(
             "paper-literal mode is unnormalized and cannot be sampled"

@@ -8,19 +8,30 @@ substreams never collide.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import DomainError
 
 # Fixed root seed used when the caller supplies none.
 DEFAULT_SEED = 20260814
+
+
+def _seed_sequence(seed, path) -> np.random.SeedSequence:
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=path)
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator for the substream identified by ``path``.
 
     The same (seed, path) pair always yields the same stream, and distinct
-    paths yield statistically independent streams.
+    paths yield statistically independent streams. A negative seed is a
+    DomainError.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
+    return np.random.default_rng(_seed_sequence(seed, path))
 
 
 def child_seed(seed: int, *path: int) -> int:
@@ -29,5 +40,5 @@ def child_seed(seed: int, *path: int) -> int:
     Useful when an API takes a plain integer seed but the caller needs
     independent streams per work item.
     """
-    state = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    state = _seed_sequence(seed, path).generate_state(2, np.uint64)
     return int(state[0] ^ (state[1] << np.uint64(1))) & ((1 << 63) - 1)

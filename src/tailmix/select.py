@@ -98,27 +98,25 @@ def select_nested(
     fit_ep = fit_model(series, ModelSpec(1, x_min=x_min, exp_mode=exp_mode), config)
     models = {"P": fit_p, "EP": fit_ep}
     bf_ep_p = log_bayes_factor(fit_ep, fit_p)
-    if bf_ep_p <= threshold:
-        return SelectionResult(
-            chosen="P", models=models, log_bf_ep_p=bf_ep_p, threshold=threshold
-        )
-    try:
-        fit_eep = fit_model(series, ModelSpec(2, x_min=x_min, exp_mode=exp_mode), config)
-    except FitError as exc:
-        return SelectionResult(
-            chosen="EP",
-            models=models,
-            log_bf_ep_p=bf_ep_p,
-            threshold=threshold,
-            eep_failure=str(exc),
-        )
-    models["EEP"] = fit_eep
-    bf_eep_ep = log_bayes_factor(fit_eep, fit_ep)
-    chosen = "EEP" if bf_eep_ep > threshold else "EP"
+    chosen, bf_eep_ep, eep_failure = "P", None, None
+    if bf_ep_p > threshold:
+        chosen = "EP"
+        try:
+            fit_eep = fit_model(
+                series, ModelSpec(2, x_min=x_min, exp_mode=exp_mode), config
+            )
+        except FitError as exc:
+            eep_failure = str(exc)
+        else:
+            models["EEP"] = fit_eep
+            bf_eep_ep = log_bayes_factor(fit_eep, fit_ep)
+            if bf_eep_ep > threshold:
+                chosen = "EEP"
     return SelectionResult(
         chosen=chosen,
         models=models,
         log_bf_ep_p=bf_ep_p,
         log_bf_eep_ep=bf_eep_ep,
         threshold=threshold,
+        eep_failure=eep_failure,
     )

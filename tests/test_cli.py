@@ -122,6 +122,24 @@ class TestSimulateCommand:
         assert rc == 1
         assert "weights" in capsys.readouterr().err
 
+    def test_negative_seed_flag_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--model", "P", "--alpha", "1.6", "--n", "100",
+                   "--seed", "-1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
+    def test_negative_size_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--model", "P", "--alpha", "1.6", "--n", "-5",
+                   "--seed", "1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: sample size must be non-negative, got -5\n"
+        assert not out.exists()
+
     def test_pure_tail_needs_no_weights(self, tmp_path):
         rc = main(["simulate", "--model", "P", "--alpha", "2.0", "--n", "100",
                    "--seed", "1", "--out-dir", str(tmp_path)])
@@ -254,7 +272,32 @@ class TestClassifyCommand:
             assert 0.0 <= pv["tail_responsibility"] <= 1.0
 
 
+    def test_shares_selection_and_manifest_with_fit_select(self, series_file,
+                                                           tmp_path):
+        args = ["--input", str(series_file), "--restarts", "5", "--seed", "5"]
+        fit_out, cls_out = tmp_path / "fit", tmp_path / "cls"
+        assert main(["fit-select", *args, "--out-dir", str(fit_out)]) == 0
+        assert main(["classify", *args, "--out-dir", str(cls_out)]) == 0
+        fit = check_report(fit_out / "sim-ep-n1500.fit-report.json")
+        cls = check_report(cls_out / "sim-ep-n1500.classify-report.json")
+        assert cls["manifest"].pop("subcommand") == "classify"
+        assert fit["manifest"].pop("subcommand") == "fit-select"
+        assert cls["manifest"] == fit["manifest"]
+        for key in ("source_id", "bin_seconds", "n", "selection"):
+            assert cls["results"][key] == fit["results"][key], key
+
+
 class TestValidateCommand:
+    def test_negative_seed_env_variable_fails_cleanly(self, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("TAILMIX_SEED", "-3")
+        out = tmp_path / "val"
+        rc = main(["validate", "--preset", "fig2-desk", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -3\n"
+        assert not out.exists()
+
     def test_mini_preset_end_to_end(self, tmp_path, monkeypatch, capsys):
         mini = RecoveryPlan("mini-check", alphas=(1.6,), n_samples=1200,
                             n_replicates=2, restarts=4)

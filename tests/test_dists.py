@@ -11,16 +11,35 @@ from tailmix import dists
 from tailmix.dists import (
     ExpParams,
     ParetoParams,
-    exp_log_pmf,
-    exp_pmf,
     hurwitz_zeta,
     hurwitz_zeta_dalpha,
-    pareto_log_pmf,
-    pareto_pmf,
     sample_exp,
     sample_pareto,
 )
 from tailmix.errors import DomainError, UnsupportedOperationError
+from tailmix.mixture import MixtureParams, ModelSpec, component_log_pmfs
+
+
+def pareto_log_pmf(x, params: ParetoParams):
+    """The power-law component's log pmf, from the one density path."""
+    spec = ModelSpec(0, x_min=params.x_min)
+    return component_log_pmfs(x, spec, MixtureParams((1.0,), (), params.alpha))[0]
+
+
+def pareto_pmf(x, params: ParetoParams):
+    return np.exp(pareto_log_pmf(x, params))
+
+
+def exp_log_pmf(x, params: ExpParams, x_min: int = 1):
+    """The exponential component's log density, from the one density path;
+    the power tail beside it does not enter the first row."""
+    spec = ModelSpec(1, x_min=x_min, exp_mode=params.mode)
+    mix = MixtureParams((0.5, 0.5), (params.rate,), 2.0)
+    return component_log_pmfs(x, spec, mix)[0]
+
+
+def exp_pmf(x, params: ExpParams, x_min: int = 1):
+    return np.exp(exp_log_pmf(x, params, x_min))
 
 
 class TestZeta:
@@ -115,7 +134,7 @@ class TestPmfs:
         tail = scipy.special.zeta(2.0, 500_000) / hurwitz_zeta(2.0, 3)
         assert head + tail == pytest.approx(1.0, abs=1e-10)
         e = ExpParams(0.7)
-        assert exp_pmf(3, e, x_min=3) == pytest.approx(1 - math.exp(-0.7), rel=1e-12)
+        assert exp_pmf(3, e, x_min=3)[0] == pytest.approx(1 - math.exp(-0.7), rel=1e-12)
 
 
 class TestSampling:
@@ -145,7 +164,7 @@ class TestSampling:
         assert xs.min() >= 1
         for v in (1, 2, 5):
             frac = (xs == v).mean()
-            prob = pareto_pmf(v, p)
+            prob = pareto_pmf(v, p)[0]
             sd = math.sqrt(prob * (1 - prob) / xs.size)
             assert abs(frac - prob) < 5 * sd, v
 

@@ -362,6 +362,52 @@ class TestFeasibleSteps:
         # and no trial point is feasible
         assert len(calls) == 1
 
+    def test_armijo_failures_halve_to_min_step_and_end_linesearch(self):
+        a, b = slack_system(P)
+        theta0 = np.array([[1.5], [3.0]])
+        calls = []
+
+        def uphill(theta):
+            # below alpha 2.5 the log-likelihood rises 100 per unit of
+            # alpha, above it it falls, and the reported gradient has the
+            # opposite sign: every trial fails Armijo, and each row's
+            # trials stay on its side of 2.5
+            calls.append(theta[:, 0].copy())
+            sign = np.where(theta < 2.5, 1.0, -1.0)
+            return 100.0 * (sign * theta)[:, 0], -100.0 * sign
+
+        theta, _, _, ll, iters, status, errors = fit_module._lockstep(
+            uphill, a, b, theta0
+        )
+        n_stages = len(fit_module.BARRIER_WEIGHTS)
+        for r in range(2):
+            assert status[r] == ["linesearch"] * n_stages
+            assert errors[r] is None
+        np.testing.assert_array_equal(iters, [n_stages, n_stages])
+        np.testing.assert_array_equal(theta, theta0)
+        np.testing.assert_array_equal(ll, [150.0, -300.0])
+        # each trial moves one row from its start along the stage's first
+        # direction, the negated barrier gradient; a stage's moves shrink
+        moves = {0: [], 1: []}
+        for point in np.concatenate(calls[1:]):
+            r = int(point > 2.5)
+            moves[r].append(abs(point - theta0[r, 0]))
+        for r, delta in moves.items():
+            cuts = (np.diff(delta) > 0).nonzero()[0] + 1
+            assert len(cuts) == n_stages - 1
+            grad = np.full((1, 1), 100.0 if r else -100.0)
+            for weight, stage in zip(fit_module.BARRIER_WEIGHTS,
+                                     np.split(np.array(delta), cuts)):
+                _, g = fit_module._barrier(a, b, theta0[r:r + 1], ll[r:r + 1],
+                                           grad, weight)
+                steps = stage / abs(g[0, 0])
+                # halvings from the first feasible step down to the
+                # floor, and none below it
+                np.testing.assert_allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-2)
+                assert fit_module._MIN_STEP < steps.min() < 2 * fit_module._MIN_STEP
+        # 2**-8 .. 2**-46 and 2**-7 .. 2**-46 in each stage
+        assert [len(m) for m in moves.values()] == [3 * 39, 3 * 40]
+
 
 def test_theta_to_params_roundtrip():
     theta = np.array([0.3, 0.4, 1.5, 0.15, 1.6])

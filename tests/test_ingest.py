@@ -350,9 +350,8 @@ def flow_texts(draw):
 def _by_row_loop(path):
     """read_flow_file's header handling, then only the row loop."""
     with path.open(encoding="utf-8", newline="") as fh:
-        first = fh.readline()
-        delim = ingest._sniff_delimiter(first)
-        col = first.rstrip("\r\n").split(delim).index("start_time")
+        delim, header = ingest._read_header(fh, path)
+        col = header.index("start_time")
         return ingest._start_times_by_row(fh, path, delim, col)
 
 

@@ -22,6 +22,7 @@ from tailmix.mixture import (
     sample_mixture,
     tail_threshold,
 )
+from tailmix.seeding import child_seed
 
 EP = ModelSpec(n_exp=1)
 EEP = ModelSpec(n_exp=2)
@@ -212,3 +213,16 @@ class TestSampling:
         spec = ModelSpec(n_exp=0, exp_mode="paper-literal")
         xs = sample_mixture(spec, MixtureParams((1.0,), (), 2.0), 100, seed=0)
         assert xs.min() >= 1
+
+    def test_negative_size_is_domain_error(self):
+        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        with pytest.raises(DomainError, match="non-negative, got -5"):
+            sample_mixture(EP, params, -5, seed=0)
+        assert sample_mixture(EP, params, 0, seed=0).shape == (0,)
+
+    def test_negative_seed_is_domain_error(self):
+        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        with pytest.raises(DomainError, match="seed must be a non-negative"):
+            sample_mixture(EP, params, 10, seed=-1)
+        with pytest.raises(DomainError, match="seed must be a non-negative"):
+            child_seed(-3, 0)
