@@ -8,19 +8,24 @@ s = A @ theta + b and the penalized objective is
     phi_c(theta) = loglik(theta) + c * sum(log(s))
 
 maximized for a decreasing barrier weight schedule, warm-starting each
-stage from the last. The inner solver is BFGS with Armijo backtracking.
-Multiple random restarts guard against local optima; the restart with
-the best raw log-likelihood wins.
+stage from the last. The inner solver takes damped Newton steps on the
+analytic Hessian of -phi_c / n, with a Levenberg shift where that
+Hessian is not safely positive definite, and Armijo backtracking; a
+stage ends when the Newton decrement per observation is below
+NEWTON_TOL (Boyd & Vandenberghe, Convex Optimization, 2004, 9.5 and
+11.3). Multiple random restarts guard against local optima; the restart
+with the best raw log-likelihood wins.
 
-The restarts of a fit run each stage together, each with its own BFGS
-state. One batched log-likelihood call evaluates the starting points,
-and one per round evaluates every pending line-search trial; a stage
-opens by reweighting the barrier term from the values stored at each
-iterate, so no point is evaluated twice. Backtracking never evaluates a
-point outside the feasible set: the slacks are affine and halving a step
-is exact, so one scan of the halved steps finds the first feasible trial
-step, the one that rejecting infeasible points one at a time would
-reach. Every restart's result is bit-identical to running it alone.
+Each restart of a fit keeps its own iterate, step and stage, and opens
+its next stage as soon as it ends one, by reweighting the barrier term
+from the values stored at its iterate, so no point is evaluated twice.
+One batched log-likelihood call per round evaluates the pending
+line-search trial of every restart, whatever its stage. Backtracking
+never evaluates a point outside the feasible set: the slacks are affine
+and halving a step is exact, so one scan of the halved steps finds the
+first feasible trial step, the one that rejecting infeasible points one
+at a time would reach. Every restart's result is bit-identical to
+running it alone.
 """
 
 from __future__ import annotations
@@ -38,14 +43,19 @@ from .seeding import DEFAULT_SEED, substream
 
 # Random-restart initialization ranges. Weights start at least this far
 # inside the simplex; rates and exponents start well inside their boxes.
+# With two exponentials one rate starts log-uniform over
+# LOG_SLOW_LAMBDA_INIT_RANGE instead, so that restarts reach slow
+# components with small weight, which carry the far tail.
 WEIGHT_FLOOR = 0.02
 LAMBDA_INIT_RANGE = (0.05, 3.0)
+LOG_SLOW_LAMBDA_INIT_RANGE = (math.log(3e-4), math.log(3.0))
 ALPHA_INIT_RANGE = (1.1, 3.5)
 
-# Barrier weight schedule, one BFGS stage each, and the inner solver's
-# stopping rule (gradient infinity norm, iteration cap).
+# Barrier weight schedule, one Newton stage each, and the inner solver's
+# stopping rule (Newton decrement lambda^2 / 2 per observation,
+# iteration cap).
 BARRIER_WEIGHTS = (1e-2, 1e-5, 1e-8)
-INNER_TOL = 1e-6
+NEWTON_TOL = 1e-13
 MAX_INNER_ITERS = 500
 
 # Upper bounds of the feasible box for alpha and for each rate.
@@ -54,6 +64,8 @@ LAMBDA_MAX = 3.5
 
 _ARMIJO_C1 = 1e-4
 _MIN_STEP = 1e-14
+# Hessian eigenvalues below this fraction of the largest are rounding noise.
+_EIG_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -67,6 +79,10 @@ class FitConfig:
         if not (isinstance(self.restarts, numbers.Integral) and self.restarts >= 1):
             raise DomainError(
                 f"restarts must be a positive integer, got {self.restarts!r}"
+            )
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise DomainError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
             )
 
 
@@ -104,29 +120,16 @@ def slack_system(spec: ModelSpec):
     (1, ALPHA_MAX), and for two exponentials the ordering rate1 > rate2.
     """
     k = spec.n_exp
-    dim = 2 * k + 1
-    rows = []
-    offs = []
-
-    def row(coeffs, off):
-        r = np.zeros(dim)
-        for j, v in coeffs:
-            r[j] = v
-        rows.append(r)
-        offs.append(off)
-
-    for i in range(k):
-        row([(i, 1.0)], 0.0)  # weight_i > 0
+    eye = np.eye(2 * k + 1)
+    rows = [(eye[i], 0.0) for i in range(k)]  # weight_i > 0
     if k:
-        row([(i, -1.0) for i in range(k)], 1.0)  # power-tail weight > 0
+        rows.append((0.0 - eye[:k].sum(axis=0), 1.0))  # power-tail weight > 0
     for i in range(k):
-        row([(k + i, 1.0)], 0.0)  # rate_i > 0
-        row([(k + i, -1.0)], LAMBDA_MAX)  # rate_i < LAMBDA_MAX
-    row([(dim - 1, 1.0)], -1.0)  # alpha > 1
-    row([(dim - 1, -1.0)], ALPHA_MAX)  # alpha < ALPHA_MAX
+        rows += [(eye[k + i], 0.0), (0.0 - eye[k + i], LAMBDA_MAX)]  # rate_i in box
+    rows += [(eye[-1], -1.0), (0.0 - eye[-1], ALPHA_MAX)]  # alpha in (1, ALPHA_MAX)
     if k == 2:
-        row([(k, 1.0), (k + 1, -1.0)], 0.0)  # rate order: first decays faster
-    return np.array(rows), np.array(offs)
+        rows.append((eye[k] - eye[k + 1], 0.0))  # rate order: first decays faster
+    return np.array([r for r, _ in rows]), np.array([off for _, off in rows])
 
 
 def theta_to_params(theta: np.ndarray, spec: ModelSpec) -> MixtureParams:
@@ -145,60 +148,72 @@ def random_init(spec: ModelSpec, rng: np.random.Generator):
     theta = np.empty(2 * k + 1)
     if k == 1:
         theta[0] = rng.uniform(WEIGHT_FLOOR, 1.0 - WEIGHT_FLOOR)
+        theta[1] = rng.uniform(*LAMBDA_INIT_RANGE)
     elif k == 2:
         w = WEIGHT_FLOOR + (1.0 - 3 * WEIGHT_FLOOR) * rng.dirichlet(np.ones(3))
         theta[0:2] = w[0:2]
-    lam = rng.uniform(*LAMBDA_INIT_RANGE, size=k)
-    lam[::-1].sort()
-    while k == 2 and lam[0] - lam[1] < 1e-6:
-        lam = rng.uniform(*LAMBDA_INIT_RANGE, size=k)
-        lam[::-1].sort()
-    theta[k : 2 * k] = lam
+        lam = (0.0, 0.0)
+        while lam[0] - lam[1] < 1e-6:
+            slow = math.exp(rng.uniform(*LOG_SLOW_LAMBDA_INIT_RANGE))
+            lam = sorted((slow, rng.uniform(*LAMBDA_INIT_RANGE)), reverse=True)
+        theta[2:4] = lam
     theta[-1] = rng.uniform(*ALPHA_INIT_RANGE)
     return theta
 
 
 def _objective(values, log_values, mult, spec):
-    """Return f(theta) -> (loglik, grad) for a batch of feasible points.
+    """Return f(theta) -> (loglik, grad, hess) for a batch of feasible
+    points.
 
     ``theta`` has shape (B, d), and every row must have all slacks
     A @ theta + b > 0: the starting points are feasible by construction
     and ``_feasible_steps`` only hands out feasible trial points. The
-    rows go through one zeta and one kernel call. Every operation is
-    shaped so that row b equals the evaluation of a batch of one at that
-    point, bit for bit. The barrier term is added by ``_barrier``.
+    rows go through one zeta and one kernel call. The kernel's gradient
+    and Hessian, taken with all weights free, map to theta through the
+    affine simplex Jacobian (the tail weight is one minus the others).
+    Every operation is shaped so that row b equals the evaluation of a
+    batch of one at that point, bit for bit. The barrier term is added
+    by ``_barrier``.
     """
     literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
+    jac = np.insert(np.eye(2 * k + 1), k, 0.0, axis=0)
+    jac[k, :k] = -1.0  # d(tail weight) / d(free weights)
 
-    def loglik_grad(theta):
+    def loglik_grad_hess(theta):
         m = np.empty((theta.shape[0], k + 1))
         m[:, :k] = theta[:, :k]
         m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
         lam = np.ascontiguousarray(theta[:, k : 2 * k])
         alpha = np.ascontiguousarray(theta[:, -1])
-        z, dz = kernels.zeta_pair(alpha, x_min)
-        ll, g_m, g_lam, g_alpha = kernels.mix_loglik_grad(
-            values, log_values, mult, m, lam, alpha, x_min, z, dz, literal
+        z, dz, d2z = kernels.zeta_pair(alpha, x_min, second=True)
+        ll, g_m, g_lam, g_alpha, hess = kernels.mix_loglik_grad(
+            values, log_values, mult, m, lam, alpha, x_min, z, dz, literal, d2z=d2z
         )
         grad = np.empty(theta.shape)
         grad[:, :k] = g_m[:, :k] - g_m[:, k, None]
         grad[:, k : 2 * k] = g_lam
         grad[:, -1] = g_alpha
-        return ll, grad
+        return ll, grad, jac.T @ hess @ jac
 
-    return loglik_grad
+    return loglik_grad_hess
 
 
-def _barrier(a_mat, b_vec, theta, ll, grad, weight):
-    """(-phi, -grad phi) at feasible rows ``theta`` from their raw
-    log-likelihoods ``ll`` and gradients ``grad``, where phi = ll + weight
-    * sum(log(s)) and s = A @ theta + b. The only code that adds the barrier.
+def _barrier(a_mat, b_vec, theta, ll, grad, hess, weight, n):
+    """(-phi, -grad phi, -hess phi) / n at feasible rows ``theta`` from
+    their raw log-likelihoods ``ll``, gradients ``grad`` and Hessians
+    ``hess``, where phi = ll + weight * sum(log(s)) and s = A @ theta +
+    b. Dividing by the observation count n makes the stage tolerance per
+    observation. The only code that adds the barrier.
     """
     s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
-    phi = ll + weight * np.log(s).sum(axis=1)
-    return -phi, -(grad + weight * (a_mat.T @ (1.0 / s)[:, :, None])[..., 0])
+    inv_s = 1.0 / s
+    weight = np.broadcast_to(weight, ll.shape)[:, None]
+    phi = ll + weight[:, 0] * np.log(s).sum(axis=1)
+    g = grad + weight * (a_mat.T @ inv_s[:, :, None])[..., 0]
+    h = hess - weight[:, :, None] * (a_mat.T @ (inv_s[:, :, None] ** 2 * a_mat))
+    return -phi / n, -g / n, -h / n
 
 
 # Every step a line search can try from a unit step: 1, 1/2, 1/4, ...
@@ -241,79 +256,104 @@ def _row_dot(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _lockstep(fun, a_mat, b_vec, theta0):
-    """Run every restart through the barrier schedule together.
+def _newton_directions(g, h):
+    """Damped Newton directions d = -(h + mu D)^-1 g, one per row, where
+    D is the diagonal of |h|.
 
-    Row r of ``theta0`` starts restart r. One call of ``fun`` evaluates
-    every starting point. For each weight in BARRIER_WEIGHTS, every live
-    restart then runs one stage of BFGS with Armijo backtracking,
-    warm-started from the last. A stage opens by reweighting the barrier
-    term from the raw log-likelihood and gradient stored at each
-    iterate, without a call of ``fun``; each round then evaluates one
-    line-search trial for every restart still in the stage. Each restart
-    keeps its own iterate, inverse Hessian and step. Trial points
-    outside the feasible set are skipped by ``_feasible_steps`` rather
-    than evaluated.
+    The eigenvalues are taken of the Jacobi-scaled D^-1/2 h D^-1/2, whose
+    diagonal is one: the barrier curvature of a slack near 0 can exceed
+    the rest of h by 1e15, and unscaled it would bury the other
+    eigenvalues in rounding. The Levenberg shift mu is 0 where the scaled
+    Hessian is positive definite with its smallest eigenvalue above
+    _EIG_FLOOR times its largest. Elsewhere it lifts the smallest
+    eigenvalue to that floor plus the infinity norm of the scaled
+    gradient, so that far from a minimum the step shortens and turns
+    toward -D^-1 g (Nocedal & Wright, Numerical Optimization, 2006, 3.4).
+    """
+    sig = 1.0 / np.sqrt(np.abs(np.diagonal(h, axis1=1, axis2=2)))
+    g = g * sig
+    w, v = np.linalg.eigh(h * sig[:, :, None] * sig[:, None, :])
+    floor = _EIG_FLOOR * np.abs(w).max(axis=1)
+    low = w[:, 0] < floor
+    mu = np.where(low, floor - w[:, 0] + np.abs(g).max(axis=1), 0.0)
+    coef = (np.swapaxes(v, 1, 2) @ g[:, :, None])[..., 0] / (w + mu[:, None])
+    return -sig * (v @ coef[:, :, None])[..., 0]
 
-    A stage ends "gradtol" (gradient infinity norm met), "stalled"
-    (improvements fell below float rounding of f), "linesearch" (no
-    acceptable step down to _MIN_STEP) or "maxiter". A restart whose
-    starting log-likelihood is not finite fails. Returns (theta, f,
-    grad, loglik, iters, stage_status, errors), one entry per restart:
-    f and grad are the last stage's objective and gradient at theta;
+
+def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
+    """Run every restart through the barrier schedule, in one batch.
+
+    Row r of ``theta0`` starts restart r; ``fun`` gives raw
+    log-likelihoods, gradients and Hessians, and n is the observation
+    count. One call of ``fun`` evaluates every starting point. Each live
+    restart then runs one stage of damped Newton steps with Armijo
+    backtracking per weight in BARRIER_WEIGHTS, warm-started from the
+    last and opened, as soon as the last ends, by reweighting the barrier
+    term from the raw values stored at its iterate. Each round evaluates
+    one line-search trial for every restart still in a stage; trial
+    points outside the feasible set are skipped by ``_feasible_steps``.
+    With ``raw_first_step`` (EP fits) the first step is the raw gradient,
+    unit step on the unscaled objective, as BFGS's first step was: a long
+    move that reaches optima (a slow component of small weight) that
+    Newton steps from the start miss.
+
+    A stage ends "converged" (Newton decrement lambda^2 / 2 at most
+    NEWTON_TOL), "linesearch" (no acceptable step down to _MIN_STEP) or
+    "maxiter". A restart whose starting log-likelihood is not finite
+    fails. Returns (theta, f, grad, decrement, loglik, iters,
+    stage_status, errors), one entry per restart: f, grad and decrement
+    are the last stage's objective, gradient and lambda^2 / 2 at theta;
     loglik is the raw log-likelihood there, or -inf and errors[r] a
     message where restart r failed, else None.
     """
     n_rows, dim = theta0.shape
-    eye = np.eye(dim)
     x = np.array(theta0, dtype=np.float64)
-    ll, ll_grad = fun(x)
+    ll, ll_grad, ll_hess = fun(x)
     live = np.isfinite(ll)
-    f = np.zeros(n_rows)
-    g = np.zeros((n_rows, dim))
-    h_inv = np.zeros((n_rows, dim, dim))
-    first_update = np.zeros(n_rows, dtype=bool)
-    stalls = np.zeros(n_rows, dtype=np.int64)
-    it = np.zeros(n_rows, dtype=np.int64)
-    iters = np.zeros(n_rows, dtype=np.int64)
-    step = np.ones(n_rows)
-    d = np.zeros((n_rows, dim))
-    slope = np.zeros(n_rows)
+    c = np.array(BARRIER_WEIGHTS)
+    stage, it, iters = np.zeros((3, n_rows), dtype=np.int64)
+    f, step, slope, decrement = np.zeros((4, n_rows))
+    g, d = np.zeros((2, n_rows, dim))
     in_stage = np.zeros(n_rows, dtype=bool)
     status = [[] for _ in range(n_rows)]
+
+    def begin_stage(rows):
+        """Reweight the barrier at the stored values; first iteration."""
+        raw = (x[rows], ll[rows], ll_grad[rows], ll_hess[rows], c[stage[rows]])
+        f[rows], g[rows], h_r = _barrier(a_mat, b_vec, *raw, n)
+        it[rows] = 1
+        in_stage[rows] = True
+        begin_iteration(rows, g[rows], h_r)
 
     def end_stage(rows, name, done_iters):
         iters[rows] += done_iters
         for r in rows.tolist():
             status[r].append(name)
         in_stage[rows] = False
+        stage[rows] += 1
+        rows = rows[stage[rows] < c.size]
+        if rows.size:
+            begin_stage(rows)
 
-    def begin_iteration(rows, g_r):
-        """Top of a BFGS iteration: gradient test, then descent direction.
-        ``g_r`` is g[rows]."""
-        done = np.abs(g_r).max(axis=1) <= INNER_TOL
-        if done.any():
-            end_stage(rows[done], "gradtol", it[rows[done]] - 1)
-            rows, g_r = rows[~done], g_r[~done]
-        d_r = ((-h_inv[rows]) @ g_r[:, :, None])[..., 0]
+    def begin_iteration(rows, g_r, h_r):
+        """Top of a Newton iteration: direction, then decrement test."""
+        d_r = _newton_directions(g_r, h_r)
         slope_r = _row_dot(d_r, g_r)
-        uphill = slope_r >= 0.0
-        if uphill.any():
-            h_inv[rows[uphill]] = eye
-            first_update[rows[uphill]] = True
-            d_r[uphill] = -g_r[uphill]
-            slope_r[uphill] = _row_dot(d_r[uphill], g_r[uphill])
+        decrement[rows] = -0.5 * slope_r
+        done = decrement[rows] <= NEWTON_TOL
+        if done.any():
+            end_stage(rows[done], "converged", it[rows[done]] - 1)
+            rows, d_r, slope_r = rows[~done], d_r[~done], slope_r[~done]
         d[rows] = d_r
         slope[rows] = slope_r
         step[rows] = 1.0
 
-    def try_step(rows, x_new, weight):
-        """Evaluate the trial points; Armijo test; BFGS update where it passes."""
-        ll_new, ll_grad_new = fun(x_new)
-        f_new, g_new = _barrier(a_mat, b_vec, x_new, ll_new, ll_grad_new, weight)
-        f_r = f[rows]
+    def try_step(rows, x_new):
+        """Evaluate the trial points; Armijo test; move where it passes."""
+        new = fun(x_new)
+        f_new, g_new, h_new = _barrier(a_mat, b_vec, x_new, *new, c[stage[rows]], n)
         accept = np.isfinite(f_new) & (
-            f_new <= f_r + _ARMIJO_C1 * step[rows] * slope[rows]
+            f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
         )
         if not accept.all():
             # a halved step below _MIN_STEP ends the stage in the next
@@ -321,76 +361,40 @@ def _lockstep(fun, a_mat, b_vec, theta0):
             step[rows[~accept]] *= 0.5
             if not accept.any():
                 return
-            rows, x_new, f_new, g_new, f_r = (
-                rows[accept], x_new[accept], f_new[accept], g_new[accept], f_r[accept]
+            rows, x_new, f_new, g_new, h_new = (
+                rows[accept], x_new[accept], f_new[accept], g_new[accept], h_new[accept]
             )
-            ll_new, ll_grad_new = ll_new[accept], ll_grad_new[accept]
-        s = x_new - x[rows]
-        y = g_new - g[rows]
-        sy = _row_dot(s, y)
-        yy = _row_dot(y, y)
-        curved = sy > 1e-12 * np.sqrt(_row_dot(s, s)) * np.sqrt(yy)
-        scale = curved & first_update[rows]
-        if scale.any():
-            h_inv[rows[scale]] *= (sy[scale] / yy[scale])[:, None, None]
-            first_update[rows[scale]] = False
-        upd, s_c, y_c, sy_c = rows, s, y, sy
-        if not curved.all():
-            upd, s_c, y_c, sy_c = rows[curved], s[curved], y[curved], sy[curved]
-        if upd.size:
-            rho = (1.0 / sy_c)[:, None, None]
-            v = eye - rho * (s_c[:, :, None] * y_c[:, None, :])
-            h_inv[upd] = v @ h_inv[upd] @ v.transpose(0, 2, 1) + rho * (
-                s_c[:, :, None] * s_c[:, None, :]
-            )
-        # once improvements sink into float rounding of f, stop: the
-        # gradient test may be unreachable in double precision
-        flat = f_r - f_new <= 1e-12 * (np.abs(f_r) + 1.0)
-        stalls_r = np.where(flat, stalls[rows] + 1, 0)
-        stalls[rows] = stalls_r
+            new = [v[accept] for v in new]
         x[rows] = x_new
         f[rows] = f_new
         g[rows] = g_new
-        ll[rows] = ll_new
-        ll_grad[rows] = ll_grad_new
-        stop = flat & (stalls_r >= 2)
-        if stop.any():
-            end_stage(rows[stop], "stalled", it[rows[stop]])
-            rows, g_new = rows[~stop], g_new[~stop]
+        ll[rows], ll_grad[rows], ll_hess[rows] = new
         capped = it[rows] >= MAX_INNER_ITERS
         if capped.any():
             end_stage(rows[capped], "maxiter", it[rows[capped]])
-            rows, g_new = rows[~capped], g_new[~capped]
+            rows, g_new, h_new = rows[~capped], g_new[~capped], h_new[~capped]
         it[rows] += 1
-        begin_iteration(rows, g_new)
+        begin_iteration(rows, g_new, h_new)
 
-    for weight in BARRIER_WEIGHTS:
-        rows = live.nonzero()[0]
-        f[rows], g[rows] = _barrier(
-            a_mat, b_vec, x[rows], ll[rows], ll_grad[rows], weight
-        )
-        h_inv[rows] = eye
-        first_update[rows] = True
-        stalls[rows] = 0
-        it[rows] = 1
-        in_stage[rows] = True
-        begin_iteration(rows, g[rows])
-        while in_stage.any():
-            rows = in_stage.nonzero()[0]
-            found, trial_x = _feasible_steps(
-                a_mat, b_vec, x[rows], d[rows], step[rows]
-            )
-            step[rows] = found
-            stuck = found == 0.0
-            if stuck.any():
-                end_stage(rows[stuck], "linesearch", it[rows[stuck]])
-                rows, trial_x = rows[~stuck], trial_x[~stuck]
-            if rows.size:
-                try_step(rows, trial_x, weight)
+    begin_stage(live.nonzero()[0])
+    if raw_first_step:
+        rows = (in_stage & (stage == 0)).nonzero()[0]
+        d[rows] = -n * g[rows]
+        slope[rows] = _row_dot(d[rows], g[rows])
+    while in_stage.any():
+        rows = in_stage.nonzero()[0]
+        found, trial_x = _feasible_steps(a_mat, b_vec, x[rows], d[rows], step[rows])
+        step[rows] = found
+        stuck = found == 0.0
+        if stuck.any():
+            end_stage(rows[stuck], "linesearch", it[rows[stuck]])
+            rows, trial_x = rows[~stuck], trial_x[~stuck]
+        if rows.size:
+            try_step(rows, trial_x)
 
     loglik = np.where(live, ll, -np.inf)
     errors = [None if ok else "starting log-likelihood is not finite" for ok in live]
-    return x, f, g, loglik, iters, status, errors
+    return x, f, g, decrement, loglik, iters, status, errors
 
 
 def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
@@ -417,26 +421,22 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
 
     fun = _objective(values, log_values, mult, spec)
     a_mat, b_vec = slack_system(spec)
-    theta0 = np.array(
-        [random_init(spec, substream(config.seed, r)) for r in range(config.restarts)]
-    ).reshape(config.restarts, spec.dof)
-    thetas, fs, grads, logliks, iters, status, errors = _lockstep(
-        fun, a_mat, b_vec, theta0
+    rs = range(config.restarts)
+    theta0 = np.array([random_init(spec, substream(config.seed, r)) for r in rs])
+    thetas, fs, grads, decrements, logliks, iters, status, errors = _lockstep(
+        fun, a_mat, b_vec, theta0.reshape(len(rs), spec.dof), n, spec.n_exp == 1
     )
 
     restart_logliks = [float(ll) for ll in logliks]
-    restart_reports = []
-    for r in range(config.restarts):
-        if errors[r] is not None:
-            restart_reports.append({"error": errors[r]})
-            continue
-        restart_reports.append(
-            {
-                "iters": int(iters[r]),
-                "stage_status": status[r],
-                "grad_inf_norm": float(np.abs(grads[r]).max()),
-            }
-        )
+    restart_reports = [
+        {"error": errors[r]} if errors[r] is not None else {
+            "iters": int(iters[r]),
+            "stage_status": status[r],
+            "grad_inf_norm": float(n * np.abs(grads[r]).max()),
+            "newton_decrement": float(decrements[r]),
+        }
+        for r in range(config.restarts)
+    ]
 
     finite = np.isfinite(logliks)
     if not finite.any():
@@ -451,7 +451,7 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
         "restart_chosen": r_best,
         "restart_logliks": restart_logliks,
         "restarts": restart_reports,
-        "barrier_residual": float(abs(-fs[r_best] - ll)),
+        "barrier_residual": float(abs(-n * fs[r_best] - ll)),
         "n_unique_values": int(values.shape[0]),
     }
     return FittedModel(

@@ -1,7 +1,9 @@
 """Numeric kernels, in numpy.
 
 The two hot operations are the Hurwitz zeta pair (value and alpha
-derivative) and the mixture log-likelihood with its analytic gradient.
+derivative, and on request the second alpha derivative) and the mixture
+log-likelihood with its analytic gradient and, on request, its analytic
+Hessian, which the fit's Newton steps use.
 The mixture log-density is written once here: the log-amplitude of the
 exponential components, the weighted log term of each component, and
 their log-sum-exp. The kernel and the density functions in ``mixture``
@@ -42,9 +44,10 @@ def _zeta_terms(alpha: float) -> int:
     return k
 
 
-def _zeta_tail(alpha, q, k_terms, s0, s1):
+def _zeta_tail(alpha, q, k_terms, s0, s1, s2=None):
     """Add the Euler-Maclaurin tail beyond the first k_terms to the direct
-    sums s0 (value) and s1 (alpha derivative), for one alpha."""
+    sums s0 (value) and s1 (alpha derivative), for one alpha; with s2
+    (second alpha derivative) given, return its tailed sum as well."""
     n_edge = q + k_terms
     ln_n = math.log(n_edge)
     am1 = alpha - 1.0
@@ -62,7 +65,15 @@ def _zeta_tail(alpha, q, k_terms, s0, s1):
     d_poly = 3.0 * alpha * alpha + 6.0 * alpha + 2.0
     d_b4 = (d_poly - poly * ln_n) * pow_b4 / 720.0
     dzeta = s1 + d_int + d_half + d_b2 - d_b4
-    return zeta, dzeta
+    if s2 is None:
+        return zeta, dzeta
+    rate = ln_n + 1.0 / am1
+    d2_int = t_int * (rate * rate + 1.0 / (am1 * am1))
+    d2_half = ln_n * ln_n * t_half
+    d2_b2 = ln_n * (alpha * ln_n - 2.0) * pow_b2 / 12.0
+    d2_poly = 6.0 * alpha + 6.0
+    d2_b4 = (d2_poly - ln_n * (2.0 * d_poly - poly * ln_n)) * pow_b4 / 720.0
+    return zeta, dzeta, s2 + d2_int + d2_half + d2_b2 - d2_b4
 
 
 @functools.lru_cache(maxsize=ZETA_CACHE_ENTRIES)
@@ -80,12 +91,15 @@ def _bases(q, k_terms):
     return base, np.log(base)
 
 
-def zeta_pair(alpha, q):
-    """Hurwitz zeta(alpha, q) and its alpha derivative.
+def zeta_pair(alpha, q, second=False):
+    """Hurwitz zeta(alpha, q) and its alpha derivative, and with
+    ``second`` also its second alpha derivative.
 
     Direct summation of the first K terms plus an Euler-Maclaurin tail
     through the B4 term. Absolute error is below 1e-10 for the value and
     1e-9 for the derivative over alpha in (1, 4] and integer q >= 1.
+    The second derivative is one more direct sum over the same bases;
+    the value and first derivative do not depend on ``second``.
 
     ``alpha`` may be a 1-D array, which gives arrays. The direct sums of
     alphas with the same K are taken together (a batch of one for scalar
@@ -104,20 +118,33 @@ def zeta_pair(alpha, q):
         groups = [(k, np.flatnonzero(np.equal(terms, k))) for k in sorted(set(terms))]
     zeta = np.empty(alphas.shape)
     dzeta = np.empty(alphas.shape)
+    d2zeta = np.empty(alphas.shape)
     for k_terms, rows in groups:
         bases = _cached_bases if k_terms <= ZETA_CACHE_TERMS else _bases
         base, log_base = bases(q, k_terms)
         chunk = max(1, ZETA_CHUNK_ELEMS // k_terms)
         for lo in range(0, rows.size, chunk):
             part = rows[lo : lo + chunk]
+            # each sum's terms overwrite the last's: base^-alpha, then
+            # times log(base), then times log(base) again
             t = base ** (-alphas[part, None])
-            s0 = t.sum(axis=1)
-            s1 = -(log_base * t).sum(axis=1)
-            for r, v0, v1 in zip(part.tolist(), s0.tolist(), s1.tolist()):
-                zeta[r], dzeta[r] = _zeta_tail(alpha_list[r], q, k_terms, v0, v1)
+            s0 = t.sum(axis=1).tolist()
+            t *= log_base
+            s1 = (-t.sum(axis=1)).tolist()
+            if not second:
+                for r, v0, v1 in zip(part.tolist(), s0, s1):
+                    zeta[r], dzeta[r] = _zeta_tail(alpha_list[r], q, k_terms, v0, v1)
+                continue
+            t *= log_base
+            s2 = t.sum(axis=1).tolist()
+            for r, v0, v1, v2 in zip(part.tolist(), s0, s1, s2):
+                zeta[r], dzeta[r], d2zeta[r] = _zeta_tail(
+                    alpha_list[r], q, k_terms, v0, v1, v2
+                )
+    out = (zeta, dzeta, d2zeta) if second else (zeta, dzeta)
     if np.ndim(alpha) == 0:
-        return zeta[0], dzeta[0]
-    return zeta, dzeta
+        return tuple(arr[0] for arr in out)
+    return out
 
 
 def exp_log_amp(lam, literal):
@@ -169,7 +196,8 @@ def log_sum_exp(logs):
     """Log of the summed exponentials over the component axis (-2) of
     ``logs``."""
     mx = logs.max(axis=-2)
-    return mx + np.log(np.exp(logs - mx[..., None, :]).sum(axis=-2))
+    shifted = logs - mx[..., None, :]
+    return mx + np.log(np.exp(shifted, out=shifted).sum(axis=-2))
 
 
 def _dot_wt(v, wt):
@@ -178,35 +206,76 @@ def _dot_wt(v, wt):
     return (v[..., None, :] @ wt)[..., 0]
 
 
-def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
-    """Weighted mixture log-likelihood and gradient.
+def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal, d2z=None):
+    """Weighted mixture log-likelihood and gradient, and with ``d2z`` the
+    Hessian.
 
     ``x`` holds the unique observed values, ``wt`` their multiplicities.
-    ``z``/``dz`` are the zeta value and alpha derivative at
-    (alpha, x_min). ``literal`` switches the exponential density from the
-    discretely normalized geometric form to the unnormalized continuous
-    form lam*exp(-lam*x).
+    ``z``/``dz``/``d2z`` are the zeta value and its first and second
+    alpha derivatives at (alpha, x_min). ``literal`` switches the
+    exponential density from the discretely normalized geometric form
+    to the unnormalized continuous form lam*exp(-lam*x).
 
     Returns (loglik, grad_weights, grad_lambdas, grad_alpha); the weight
     gradient is taken with all weights free (no simplex projection).
+    With ``d2z`` given, a fifth entry holds the Hessian in the same
+    coordinates: all k+1 weights, then the rates, then alpha.
     With array ``alpha`` (shape (B,), and ``m``, ``lam``, ``z``, ``dz``
     batched to match) it evaluates B parameter points at once and every
     output gains the leading batch axis; row b equals the scalar call at
     point b bit for bit.
     """
     n_exp = lam.shape[-1]
+    dim = 2 * n_exp + 2
     logs = component_logs(x, log_x, m, lam, alpha, x_min, z, literal)
     log_f = log_sum_exp(logs)
-    resp = np.exp(logs - log_f[..., None, :])
+    logs -= log_f[..., None, :]
+    # u_t holds one row per coordinate and one column per value: the
+    # responsibilities in rows 0..k, and resp_e times component e's own
+    # score (d log pmf_e / d rate_e, or d log pmf_tail / d alpha) in row
+    # k+1+e. Each row summed with weights wt is a gradient entry.
+    u_t = np.empty(logs.shape[:-2] + (dim, x.shape[0]))
+    resp = np.exp(logs, out=u_t[..., : n_exp + 1, :])
+    del logs
     ll = _dot_wt(log_f, wt)
-    g_m = (resp @ wt) / m
+    resp_wt = resp @ wt
+    g_m = resp_wt / m
     d_const = 1.0 / lam if literal else 1.0 / np.expm1(lam)
     shifted = exp_offset(x, x_min, literal)
-    g_lam = np.empty(lam.shape)
-    for e in range(n_exp):
-        g_lam[..., e] = _dot_wt(resp[..., e, :] * (d_const[..., e, None] - shifted), wt)
-    score = -log_x - np.asarray(dz / z)[..., None]
-    g_alpha = _dot_wt(resp[..., n_exp, :] * score, wt)
+    dz_z = np.asarray(dz / z)
+    score_sq = np.empty(resp_wt.shape)
+    for e in range(n_exp + 1):
+        if e < n_exp:
+            score = d_const[..., e, None] - shifted
+        else:
+            score = -log_x - dz_z[..., None]
+        row = np.multiply(resp[..., e, :], score, out=u_t[..., n_exp + 1 + e, :])
+        if d2z is not None:
+            score_sq[..., e] = _dot_wt(np.multiply(row, score, out=score), wt)
+    g_par = _dot_wt(u_t[..., n_exp + 1 :, :], wt)
+    g_lam, g_alpha = g_par[..., :n_exp], g_par[..., n_exp]
     if np.ndim(alpha) == 0:
-        return float(ll), g_m, g_lam, float(g_alpha)
-    return ll, g_m, g_lam, g_alpha
+        out = (float(ll), g_m, g_lam, float(g_alpha))
+    else:
+        out = (ll, g_m, g_lam, g_alpha)
+    if d2z is None:
+        return out
+    # d2 log f = (d2 f)/f - u u^T with u = (d f)/f, summed with weights
+    # wt; u is column j of u_t once rows 0..k are divided by the weights.
+    # (d2 f)/f is nonzero only on a component's (weight, parameter)
+    # entries, where it is resp * score / m, and on its (parameter,
+    # parameter) entry, where it is resp * (score^2 + d score / d parameter).
+    if literal:
+        curv = -d_const * d_const
+    else:
+        curv = -d_const * (1.0 + d_const)
+    curv = np.concatenate([curv, (dz_z * dz_z - np.asarray(d2z / z))[..., None]], -1)
+    hess = np.zeros(resp.shape[:-2] + (dim, dim))
+    par = range(n_exp + 1, dim)
+    for e, p in enumerate(par):
+        hess[..., e, p] = hess[..., p, e] = g_par[..., e] / m[..., e]
+    hess[..., par, par] = score_sq + curv * resp_wt
+    resp /= m[..., None]
+    u_t *= np.sqrt(wt)
+    hess -= u_t @ np.swapaxes(u_t, -1, -2)
+    return (*out, hess)

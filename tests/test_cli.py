@@ -222,6 +222,18 @@ class TestFitSelectCommand:
         assert err == "error: restarts must be a positive integer, got 0\n"
         assert not out.exists()
 
+    def test_negative_seed_fails_once_before_any_output(self, series_file, tmp_path,
+                                                        capsys):
+        write_series_file(series_file.parent / "second.series",
+                          BinnedSeries(np.arange(1, 60), bin_seconds=8.0))
+        out = tmp_path / "fits"
+        rc = main(["fit-select", "--input", str(series_file.parent),
+                   "--seed", "-1", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert not (out / "summary.csv").exists()
+
     def test_one_value_series_fails(self, tmp_path, capsys):
         path = tmp_path / "flat.series"
         write_series_file(path, BinnedSeries(np.full(50, 4), bin_seconds=8.0))

@@ -1,5 +1,6 @@
 """Optimizer: slack geometry, initialization, gradients, recovery."""
 
+import math
 import numpy as np
 import pytest
 
@@ -70,26 +71,41 @@ class TestRandomInit:
             theta = random_init(EEP, substream(88, r))
             assert theta[2] > theta[3]
 
+    def test_rate_ranges(self):
+        lo, hi = np.exp(fit_module.LOG_SLOW_LAMBDA_INIT_RANGE)
+        ep = np.array([random_init(EP, substream(89, r))[1] for r in range(200)])
+        eep = np.array([random_init(EEP, substream(89, r))[2:4] for r in range(200)])
+        assert (ep >= fit_module.LAMBDA_INIT_RANGE[0]).all() and (ep <= 3.0).all()
+        assert (eep >= lo).all() and (eep <= hi).all()
+        # with two rates, one is log-uniform: often slow, the other in the body
+        assert (eep[:, 1] < fit_module.LAMBDA_INIT_RANGE[0]).mean() > 0.3
+        assert (eep[:, 0] >= fit_module.LAMBDA_INIT_RANGE[0]).all()
+
 
 class TestGradients:
     def fd_check(self, spec, theta, values, log_values, mult, tol=1e-5):
         objective = fit_module._objective(values, log_values, mult, spec)
 
         def fun(t):
-            f, g = objective(t[None])
-            return f[0], g[0]
+            f, g, hess = objective(t[None])
+            return f[0], g[0], hess[0]
 
-        _, grad = fun(theta)
+        _, grad, hess = fun(theta)
+        fd_hess = np.empty_like(hess)
         for i in range(theta.size):
             h = 1e-6 * max(1.0, abs(theta[i]))
             tp, tm = theta.copy(), theta.copy()
             tp[i] += h
             tm[i] -= h
-            fp, _ = fun(tp)
-            fm, _ = fun(tm)
+            fp, gp, _ = fun(tp)
+            fm, gm, _ = fun(tm)
             fd = (fp - fm) / (2 * h)
             rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
             assert rel <= tol, (spec.label, i, grad[i], fd)
+            fd_hess[:, i] = (gp - gm) / (2 * h)
+        # the Hessian, mapped to theta through the simplex Jacobian
+        np.testing.assert_allclose(hess, fd_hess, rtol=tol,
+                                   atol=tol * np.abs(hess).max())
 
     def test_analytic_gradient_matches_fd(self):
         rng = substream(123)
@@ -140,6 +156,9 @@ class TestFitModel:
         d = fm.diagnostics
         assert d["barrier_residual"] < 1e-5
         assert len(d["restart_logliks"]) == 4
+        for rep in d["restarts"]:
+            assert rep["stage_status"] == ["converged"] * 3
+            assert 0.0 <= rep["newton_decrement"] <= fit_module.NEWTON_TOL
         assert 0 <= d["restart_chosen"] < 4
         expected_bic = fm.loglik - 0.5 * np.log(1500) * 3
         assert fm.bic == pytest.approx(expected_bic, rel=1e-12)
@@ -168,9 +187,9 @@ class TestFitModel:
     def test_all_restarts_failing_raises_fit_error(self, monkeypatch):
         real = kernels.mix_loglik_grad
 
-        def nan_loglik(*args):
-            ll, g_m, g_lam, g_alpha = real(*args)
-            return np.full_like(ll, np.nan), g_m, g_lam, g_alpha
+        def nan_loglik(*args, **kwargs):
+            ll, *rest = real(*args, **kwargs)
+            return (np.full_like(ll, np.nan), *rest)
 
         monkeypatch.setattr(kernels, "mix_loglik_grad", nan_loglik)
         sample = np.array([1, 2, 3, 4, 5])
@@ -213,11 +232,16 @@ class TestFitModel:
         values, mult = aggregate_counts(sample, spec.x_min)
         fun = fit_module._objective(values, np.log(values), mult, spec)
         a, b = slack_system(spec)
-        ll, grad = fun(theta[None])
+        ll, grad, hess = fun(theta[None])
         weight = fit_module.BARRIER_WEIGHTS[-1]
-        neg_phi = fit_module._barrier(a, b, theta[None], ll, grad, weight)[0][0]
-        assert fm.diagnostics["barrier_residual"] == abs(-neg_phi - fm.loglik)
+        neg_phi, g, h = fit_module._barrier(a, b, theta[None], ll, grad, hess, weight,
+                                            fm.n)
+        assert fm.diagnostics["barrier_residual"] == abs(-fm.n * neg_phi[0] - fm.loglik)
         assert fm.loglik == ll[0]  # raw, no barrier term
+        # the decrement lambda^2 / 2 = -g.d / 2 of the last stage's last iterate
+        d = fit_module._newton_directions(g, h)
+        chosen = fm.diagnostics["restarts"][fm.diagnostics["restart_chosen"]]
+        assert chosen["newton_decrement"] == -0.5 * fit_module._row_dot(d, g)[0]
 
     def test_tied_restarts_pick_the_first(self, monkeypatch):
         real = fit_module.random_init
@@ -278,16 +302,144 @@ class TestLockstep:
         fun = fit_module._objective(values, np.log(values), mult, spec)
         a, b = slack_system(spec)
         theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
-        batch = fit_module._lockstep(fun, a, b, theta0.reshape(5, spec.dof))
+        n = mult.sum()
+        raw = n_exp == 1  # as fit_model runs EP
+        batch = fit_module._lockstep(fun, a, b, theta0.reshape(5, spec.dof), n, raw)
         for r in range(5):
-            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1].reshape(1, -1))
+            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1].reshape(1, -1),
+                                         n, raw)
             np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
             assert batch[1][r] == alone[1][0]  # last stage's objective
             np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
-            assert batch[3][r] == alone[3][0]  # log-likelihood
-            assert batch[4][r] == alone[4][0]  # iterations
-            assert batch[5][r] == alone[5][0]  # stage statuses
-            assert batch[6][r] is None and alone[6][0] is None
+            assert batch[3][r] == alone[3][0]  # Newton decrement
+            assert batch[4][r] == alone[4][0]  # log-likelihood
+            assert batch[5][r] == alone[5][0]  # iterations
+            assert batch[6][r] == alone[6][0]  # stage statuses
+            assert batch[7][r] is None and alone[7][0] is None
+
+
+class TestBarrier:
+    @pytest.mark.parametrize("spec", [P, EP, EEP], ids=lambda s: s.label)
+    def test_hessian_matches_differences_of_the_gradient(self, spec):
+        a, b = slack_system(spec)
+        dof = spec.dof
+        zeros = (np.zeros(1), np.zeros((1, dof)), np.zeros((1, dof, dof)))
+
+        def barrier(theta):
+            return fit_module._barrier(a, b, theta[None], *zeros, 0.3, 7.0)
+
+        for r in range(3):
+            theta = random_init(spec, substream(71, spec.n_exp, r))
+            _, _, hess = barrier(theta)
+            fd = np.empty_like(hess[0])
+            for i in range(spec.dof):
+                h = 1e-6 * abs(theta[i])
+                up, down = theta.copy(), theta.copy()
+                up[i] += h
+                down[i] -= h
+                fd[:, i] = (barrier(up)[1][0] - barrier(down)[1][0]) / (2.0 * h)
+            np.testing.assert_allclose(hess[0], fd, rtol=1e-6,
+                                       atol=1e-9 * np.abs(hess).max())
+
+    def test_raw_terms_enter_negated_per_observation(self):
+        a, b = slack_system(EP)
+        theta = np.array([[0.3, 0.8, 2.2]])
+        rng = substream(73)
+        ll, grad = rng.normal(size=1), rng.normal(size=(1, 3))
+        hess = rng.normal(size=(1, 3, 3))
+        zeros = (np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3, 3)))
+        f0, g0, h0 = fit_module._barrier(a, b, theta, *zeros, 0.01, 40.0)
+        f, g, h = fit_module._barrier(a, b, theta, ll, grad, hess, 0.01, 40.0)
+        np.testing.assert_allclose(f - f0, -ll / 40.0, rtol=1e-12)
+        np.testing.assert_allclose(g - g0, -grad / 40.0, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h - h0, -hess / 40.0, rtol=1e-12, atol=1e-15)
+
+
+class TestNewtonDirections:
+    def test_positive_definite_hessian_takes_the_plain_newton_step(self):
+        rng = substream(81)
+        root = rng.normal(size=(4, 3, 3))
+        h = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(3)
+        g = rng.normal(size=(4, 3))
+        d = fit_module._newton_directions(g, h)
+        np.testing.assert_allclose(d, -np.linalg.solve(h, g[:, :, None])[..., 0],
+                                   rtol=1e-10)
+
+    def test_indefinite_hessian_is_shifted_to_a_descent_direction(self):
+        h = np.array([[[2.0, 0.5, 0.0], [0.5, -1.0, 0.2], [0.0, 0.2, 0.5]]])
+        g = np.array([[0.3, -0.4, 0.1]])
+        w = np.linalg.eigvalsh(h[0])
+        assert w[0] < 0.0 < w[-1]
+        d = fit_module._newton_directions(g, h)
+        # the shift acts on the Jacobi-scaled Hessian D^-1/2 h D^-1/2
+        scale = np.diag(np.abs(np.diag(h[0])))
+        sig = 1.0 / np.sqrt(np.diag(scale))
+        w = np.linalg.eigvalsh(h[0] * np.outer(sig, sig))
+        floor = fit_module._EIG_FLOOR * np.abs(w).max()
+        mu = floor - w[0] + np.abs(g[0] * sig).max()
+        np.testing.assert_allclose((h[0] + mu * scale) @ d[0], -g[0], rtol=1e-10)
+        assert d[0] @ g[0] < 0.0
+
+    def test_badly_scaled_hessian_keeps_its_small_eigenvalues(self):
+        # a slack near 0 puts 1e16 on one diagonal entry; unscaled, the
+        # eigenvalue near 1 is lost in rounding of the large one
+        h = np.array([[[1e16, 1e7, 0.0], [1e7, 1.0, 0.3], [0.0, 0.3, 2.0]]])
+        g = np.array([[1e8, -0.5, 0.2]])
+        d = fit_module._newton_directions(g, h)
+        np.testing.assert_allclose(d, -np.linalg.solve(h, g[:, :, None])[..., 0],
+                                   rtol=1e-9)
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_first_trial_point(self, raw):
+        # log-likelihood -n (alpha - 2)^2: the Newton step from 3 lands on
+        # the peak; the raw first step is -n g, halved to a feasible point
+        a, b = slack_system(P)
+        n = 50.0
+        seen = []
+
+        def bowl(theta):
+            seen.append(theta.copy())
+            u = theta[:, 0] - 2.0
+            return -n * u**2, (-2.0 * n * u)[:, None], np.full((1, 1, 1), -2.0 * n)
+
+        theta0 = np.array([[3.0]])
+        _, g0, h0 = fit_module._barrier(a, b, theta0, *bowl(theta0),
+                                        fit_module.BARRIER_WEIGHTS[0], n)
+        seen.clear()
+        fit_module._lockstep(bowl, a, b, theta0, n, raw)
+        if raw:
+            d0 = -n * g0[0, 0]
+            t = 2.0 ** round(math.log2((seen[1][0, 0] - 3.0) / d0))
+            assert t < 1.0 and seen[1][0, 0] == 3.0 + t * d0
+        else:
+            assert seen[1][0, 0] == 3.0 + fit_module._newton_directions(g0, h0)[0, 0]
+
+    def test_stage_from_an_indefinite_start_converges_downhill(self):
+        # a double well in alpha, log-likelihood -((alpha - 2.5)^2 - 1/4)^2
+        # per observation: peaks at 2 and 3, a trough at 2.5. The start
+        # 2.45 has negative curvature, where the plain Newton step would
+        # climb to the trough.
+        a, b = slack_system(P)
+        n = 50.0
+
+        def well(theta):
+            u = theta[:, 0] - 2.5
+            return (-n * (u**2 - 0.25) ** 2, (-4.0 * n * u * (u**2 - 0.25))[:, None],
+                    (n * (1.0 - 12.0 * u**2))[:, None, None])
+
+        theta0 = np.array([[2.45]])
+        _, g0, h0 = fit_module._barrier(a, b, theta0, *well(theta0),
+                                        fit_module.BARRIER_WEIGHTS[0], n)
+        assert h0[0, 0, 0] < 0.0
+        d0 = fit_module._newton_directions(g0, h0)[0, 0]
+        assert d0 * g0[0, 0] < 0.0 and d0 < 0.0  # downhill, away from the trough
+        theta, _, _, dec, _, _, status, errors = fit_module._lockstep(
+            well, a, b, theta0, n
+        )
+        assert status[0] == ["converged"] * len(fit_module.BARRIER_WEIGHTS)
+        assert 0.0 <= dec[0] <= fit_module.NEWTON_TOL
+        assert theta[0, 0] == pytest.approx(2.0, abs=1e-6)
+        assert errors[0] is None
 
 
 def _halving_reference(a, b, x, d, step):
@@ -347,13 +499,15 @@ class TestFeasibleSteps:
         calls = []
 
         def steep(theta):
-            # log-likelihood falling 1e20 per unit of alpha: the first
-            # BFGS direction leaves the feasible set at every step
+            # log-likelihood falling 1e20 per unit of alpha with unit
+            # curvature: the first Newton direction leaves the feasible
+            # set at every step
             calls.append(theta.copy())
-            return np.zeros(theta.shape[0]), np.full(theta.shape, -1e20)
+            return (np.zeros(theta.shape[0]), np.full(theta.shape, -1e20),
+                    np.full(theta.shape + (1,), -1.0))
 
-        theta, _, _, ll, iters, status, errors = fit_module._lockstep(
-            steep, a, b, np.array([[2.0]])
+        theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
+            steep, a, b, np.array([[2.0]]), 1.0
         )
         assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)
         assert iters[0] == len(fit_module.BARRIER_WEIGHTS)
@@ -370,14 +524,16 @@ class TestFeasibleSteps:
         def uphill(theta):
             # below alpha 2.5 the log-likelihood rises 100 per unit of
             # alpha, above it it falls, and the reported gradient has the
-            # opposite sign: every trial fails Armijo, and each row's
-            # trials stay on its side of 2.5
+            # opposite sign; with unit curvature the Newton direction
+            # follows the reported gradient: every trial fails Armijo,
+            # and each row's trials stay on its side of 2.5
             calls.append(theta[:, 0].copy())
             sign = np.where(theta < 2.5, 1.0, -1.0)
-            return 100.0 * (sign * theta)[:, 0], -100.0 * sign
+            return (100.0 * (sign * theta)[:, 0], -100.0 * sign,
+                    np.full(theta.shape + (1,), -1.0))
 
-        theta, _, _, ll, iters, status, errors = fit_module._lockstep(
-            uphill, a, b, theta0
+        theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
+            uphill, a, b, theta0, 1.0
         )
         n_stages = len(fit_module.BARRIER_WEIGHTS)
         for r in range(2):
@@ -387,7 +543,8 @@ class TestFeasibleSteps:
         np.testing.assert_array_equal(theta, theta0)
         np.testing.assert_array_equal(ll, [150.0, -300.0])
         # each trial moves one row from its start along the stage's first
-        # direction, the negated barrier gradient; a stage's moves shrink
+        # direction, the Newton direction -g / h of the barrier
+        # objective; a stage's moves shrink
         moves = {0: [], 1: []}
         for point in np.concatenate(calls[1:]):
             r = int(point > 2.5)
@@ -396,11 +553,12 @@ class TestFeasibleSteps:
             cuts = (np.diff(delta) > 0).nonzero()[0] + 1
             assert len(cuts) == n_stages - 1
             grad = np.full((1, 1), 100.0 if r else -100.0)
+            hess = np.full((1, 1, 1), -1.0)
             for weight, stage in zip(fit_module.BARRIER_WEIGHTS,
                                      np.split(np.array(delta), cuts)):
-                _, g = fit_module._barrier(a, b, theta0[r:r + 1], ll[r:r + 1],
-                                           grad, weight)
-                steps = stage / abs(g[0, 0])
+                _, g, h = fit_module._barrier(a, b, theta0[r:r + 1], ll[r:r + 1],
+                                              grad, hess, weight, 1.0)
+                steps = stage / abs(g[0, 0] / h[0, 0, 0])
                 # halvings from the first feasible step down to the
                 # floor, and none below it
                 np.testing.assert_allclose(steps[1:] / steps[:-1], 0.5, rtol=1e-2)

@@ -165,3 +165,95 @@ def test_zeta_batches_equal_scalar_calls_on_cold_and_warm_cache(q):
     # the 10^5-term bases of alpha 1.0001 are not kept
     kept = {k for k in terms if k <= kernels.ZETA_CACHE_TERMS}
     assert kernels._cached_bases.cache_info().currsize == len(kept)
+
+
+def _d2zeta_oracle(alpha, q, n_terms=1_000_000):
+    """sum_{n>=0} log(q+n)^2 (q+n)^-alpha: a direct sum of n_terms
+    terms, then the integral of the rest plus half its first term
+    (trapezoid rule), which leaves an error below 1e-11 for alpha >= 1.1."""
+    base = q + np.arange(n_terms, dtype=np.float64)
+    head = math.fsum((np.log(base) ** 2 * base ** -alpha).tolist())
+    edge = q + n_terms
+    ln_e, a = math.log(edge), alpha - 1.0
+    integral = edge ** -a * (ln_e**2 / a + 2.0 * ln_e / a**2 + 2.0 / a**3)
+    return head + integral + 0.5 * ln_e**2 * edge ** -alpha
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_second_zeta_derivative_matches_direct_sum(q):
+    alphas = [1.1, 1.6, 2.0, 3.3, 3.9]
+    _, _, d2z = kernels.zeta_pair(np.array(alphas), q, second=True)
+    for a, got in zip(alphas, d2z):
+        want = _d2zeta_oracle(a, q)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-9)
+        assert kernels.zeta_pair(a, q, second=True)[2] == got
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_second_derivative_leaves_zeta_pair_bits_alone(q):
+    alphas = np.array([1.0001, 1.05, 1.6, 3.9, 1.05])
+    z, dz = kernels.zeta_pair(alphas, q)
+    z2, dz2, _ = kernels.zeta_pair(alphas, q, second=True)
+    np.testing.assert_array_equal(z, z2)
+    np.testing.assert_array_equal(dz, dz2)
+    assert kernels.zeta_pair(1.6, q, second=True)[:2] == kernels.zeta_pair(1.6, q)
+
+
+def _kernel_point(n_exp, rng):
+    raw = rng.uniform(0.2, 1.0, size=n_exp + 1)
+    m = raw / raw.sum()
+    lam = np.sort(rng.uniform(0.05, 3.0, size=n_exp))[::-1].copy()
+    return np.concatenate([m, lam, [rng.uniform(1.2, 3.5)]])
+
+
+@pytest.mark.parametrize("x_min", [1, 3])
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("n_exp", [0, 1, 2])
+def test_hessian_matches_differences_of_the_gradient(n_exp, literal, x_min):
+    rng = substream(515, n_exp, int(literal), x_min)
+    values = np.unique(rng.integers(x_min, 300, size=120)).astype(np.float64)
+    mult = rng.integers(1, 20, size=values.size).astype(np.float64)
+    log_values = np.log(values)
+
+    def kernel(p, hessian=False):
+        m, lam, alpha = p[: n_exp + 1], p[n_exp + 1 : -1], p[-1]
+        z, dz, d2z = kernels.zeta_pair(alpha, float(x_min), second=True)
+        out = kernels.mix_loglik_grad(values, log_values, mult, m, lam, alpha,
+                                      float(x_min), z, dz, literal,
+                                      d2z=d2z if hessian else None)
+        grad = np.concatenate([out[1], out[2], [out[3]]])
+        return (grad, out[4]) if hessian else grad
+
+    for _ in range(3):
+        p = _kernel_point(n_exp, rng)
+        grad, hess = kernel(p, hessian=True)
+        np.testing.assert_array_equal(grad, kernel(p))
+        np.testing.assert_array_equal(hess, hess.T)
+        fd = np.empty_like(hess)
+        for i in range(p.size):
+            h = 1e-5 * abs(p[i])
+            up, down = p.copy(), p.copy()
+            up[i] += h
+            down[i] -= h
+            fd[:, i] = (kernel(up) - kernel(down)) / (2.0 * h)
+        np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-8 * np.abs(hess).max())
+
+
+def test_batched_hessian_rows_equal_single_calls():
+    rng = substream(405)
+    values = np.unique(rng.integers(1, 400, size=150)).astype(np.float64)
+    mult = rng.integers(1, 20, size=values.size).astype(np.float64)
+    for n_exp in (0, 1, 2):
+        for literal in (False, True):
+            pts = np.array([_kernel_point(n_exp, rng) for _ in range(5)])
+            m = np.ascontiguousarray(pts[:, : n_exp + 1])
+            lam = np.ascontiguousarray(pts[:, n_exp + 1 : -1])
+            alpha = np.ascontiguousarray(pts[:, -1])
+            z, dz, d2z = kernels.zeta_pair(alpha, 1.0, second=True)
+            out = kernels.mix_loglik_grad(values, np.log(values), mult, m, lam, alpha,
+                                          1.0, z, dz, literal, d2z=d2z)
+            for r in range(5):
+                one = kernels.mix_loglik_grad(values, np.log(values), mult, m[r],
+                                              lam[r], alpha[r], 1.0, z[r], dz[r],
+                                              literal, d2z=d2z[r])
+                np.testing.assert_array_equal(out[4][r], one[4])
