@@ -32,7 +32,7 @@ from .experiments import (
     run_preset,
     run_selection_strength,
 )
-from .fit import FitConfig, FittedModel, bic, fit_model
+from .fit import FitConfig, FittedModel, bic, fit_model, fit_models
 from .ingest import (
     STANDARD_WINDOWS,
     bin_at_windows,
@@ -59,6 +59,7 @@ from .select import (
     SelectionResult,
     Strength,
     log_bayes_factor,
+    select_many,
     select_nested,
     strength_label,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "bin_flows",
     "child_seed",
     "fit_model",
+    "fit_models",
     "hill_estimate",
     "hurwitz_zeta",
     "hurwitz_zeta_dalpha",
@@ -107,6 +109,7 @@ __all__ = [
     "sample_exp",
     "sample_mixture",
     "sample_pareto",
+    "select_many",
     "select_nested",
     "strength_label",
     "substream",

@@ -48,7 +48,7 @@ from .reporting import (
     write_report,
 )
 from .seeding import DEFAULT_SEED
-from .select import select_nested
+from .select import select_many, select_nested
 
 SEED_ENV = "TAILMIX_SEED"
 
@@ -130,17 +130,15 @@ def _cmd_bin(args):
     return 0
 
 
-def _select_report(kind, path, args, config):
-    """Run the nested selection on one series file and start its report.
+def _walk_args(args) -> dict:
+    return {"x_min": args.x_min, "exp_mode": args.exp_mode,
+            "threshold": args.threshold}
 
-    Returns (series, sel, manifest, results); results holds the fields
-    that fit-select and classify reports share.
-    """
-    series = read_series_file(path)
-    sel = select_nested(
-        series, config, x_min=args.x_min, exp_mode=args.exp_mode,
-        threshold=args.threshold,
-    )
+
+def _selection_report(kind, path, series, sel, args, config):
+    """Start the report of one selection: (manifest, results), where
+    results holds the fields that fit-select and classify reports
+    share."""
     manifest = RunManifest(
         subcommand=kind, seed=config.seed,
         config={
@@ -157,13 +155,27 @@ def _select_report(kind, path, args, config):
         "n": series.n,
         "selection": serialize_selection(sel),
     }
-    return series, sel, manifest, results
+    return manifest, results
 
 
 SUMMARY_FIELDS = (
     "file", "source_id", "bin_seconds", "n", "chosen", "alpha", "weights",
     "lambdas", "loglik", "bic", "log_bf_ep_p", "log_bf_eep_ep", "error",
 )
+
+
+def _read_all(files, directory):
+    """Each file's series, or in directory mode the TailmixError reading
+    it raised."""
+    out = []
+    for path in files:
+        try:
+            out.append(read_series_file(path))
+        except TailmixError as exc:
+            if not directory:
+                raise
+            out.append(exc)
+    return out
 
 
 def _cmd_fit_select(args):
@@ -179,24 +191,33 @@ def _cmd_fit_select(args):
             raise DataError(f"{in_path}: no .series files")
     else:
         files = [in_path]
+    loaded = _read_all(files, directory)
+    read = [i for i, s in enumerate(loaded) if isinstance(s, BinnedSeries)]
+    # every series walks the ladder together, rung by rung
+    sels = dict(zip(read, select_many(
+        [loaded[i] for i in read], [config] * len(read), **_walk_args(args)
+    )))
     rows = []
     n_failed = 0
-    for path in files:
-        t0 = time.time()
-        try:
-            series, sel, manifest, results = _select_report(
-                "fit-select", path, args, config
-            )
-        except TailmixError as exc:
+    for i, path in enumerate(files):
+        # a file that could not be read has its error for a selection
+        series, sel = loaded[i], sels.get(i, loaded[i])
+        if isinstance(sel, TailmixError):
             # in directory mode one bad series must not cost the others
             if not directory:
-                raise
+                raise sel
             n_failed += 1
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            rows.append({"file": path.name, "error": str(exc)})
+            print(f"error: {path.name}: {sel}", file=sys.stderr)
+            rows.append({"file": path.name, "error": str(sel)})
             continue
+        manifest, results = _selection_report(
+            "fit-select", path, series, sel, args, config
+        )
         report = build_report("fit-select", manifest, results)
-        _write_with_runtime(out_dir / f"{path.stem}.fit-report.json", report, t0)
+        # the series are fitted together, so a report's sidecar holds the
+        # wall time from the start of the run to its write
+        _write_with_runtime(out_dir / f"{path.stem}.fit-report.json", report,
+                            started)
         chosen = sel.chosen_model
         rows.append({
             "file": path.name,
@@ -231,8 +252,10 @@ def _cmd_classify(args):
     config = _fit_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series, sel, manifest, results = _select_report(
-        "classify", in_path, args, config
+    series = read_series_file(in_path)
+    sel = select_nested(series, config, **_walk_args(args))
+    manifest, results = _selection_report(
+        "classify", in_path, series, sel, args, config
     )
     chosen = sel.chosen_model
     x_star = tail_threshold(chosen.spec, chosen.params)

@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, EstimationError
-from .fit import FitConfig, fit_model
+from .errors import DataError, EstimationError, FitError, TailmixError
+# fit_model stays importable here: perfbench's tracer wraps experiments.fit_model
+from .fit import FitConfig, fit_model, fit_models  # noqa: F401
 from .mixture import LABELS, MixtureParams, ModelSpec, sample_mixture
 from .seeding import DEFAULT_SEED, child_seed, substream
-from .select import log_bayes_factor, select_nested
+from .select import select_many
 
 _LN10 = math.log(10.0)
 # substream tags: raw data draws vs optimizer restarts
@@ -135,6 +136,14 @@ def _spec_for(label: str, x_min: int) -> ModelSpec:
     return ModelSpec(LABELS.index(label), x_min=x_min)
 
 
+def _raise_first_error(results):
+    """Return results, or raise the first TailmixError among them."""
+    for r in results:
+        if isinstance(r, TailmixError):
+            raise r
+    return results
+
+
 def _iqr(values) -> float:
     lo, hi = np.percentile(np.asarray(values, dtype=np.float64), [25.0, 75.0])
     return float(hi - lo)
@@ -145,7 +154,8 @@ def run_alpha_recovery(plan: RecoveryPlan, seed: int = DEFAULT_SEED) -> dict:
 
     Per replicate: draw an EP sample with the planned exponent and a
     uniformly drawn decay rate, fit the EP model, and compute the Hill
-    baseline on the same sample. Gates check that MLE recovery is tight
+    baseline on the same sample. The replicates of a grid point are
+    fitted together (fit_models). Gates check that MLE recovery is tight
     (median relative error at most 5%, estimate IQR at most 0.15) and
     that the Hill spread exceeds the MLE spread at every grid point.
     """
@@ -153,23 +163,22 @@ def run_alpha_recovery(plan: RecoveryPlan, seed: int = DEFAULT_SEED) -> dict:
     points = []
     records = []
     for gi, alpha in enumerate(plan.alphas):
-        mle = []
-        hill = []
+        samples, fcfgs = [], []
         for rep in range(plan.n_replicates):
             rng = substream(seed, gi, rep, _DATA_STREAM)
             lam = float(rng.uniform(*plan.lambda_range))
             truth = MixtureParams(
                 (plan.mix_weight, 1.0 - plan.mix_weight), (lam,), alpha
             )
-            sample = sample_mixture(spec, truth, plan.n_samples, rng)
-            fcfg = FitConfig(
+            samples.append(sample_mixture(spec, truth, plan.n_samples, rng))
+            fcfgs.append(FitConfig(
                 restarts=plan.restarts,
                 seed=child_seed(seed, gi, rep, _FIT_STREAM),
-            )
-            a_mle = float(fit_model(sample, spec, fcfg).params.alpha)
-            a_hill = float(hill_estimate(sample, plan.tail_fraction))
-            mle.append(a_mle)
-            hill.append(a_hill)
+            ))
+        fits = _raise_first_error(fit_models(samples, spec, fcfgs))
+        mle = [float(fm.params.alpha) for fm in fits]
+        hill = [float(hill_estimate(s, plan.tail_fraction)) for s in samples]
+        for rep, (a_mle, a_hill) in enumerate(zip(mle, hill)):
             records.append([float(alpha), rep, "mle", a_mle])
             records.append([float(alpha), rep, "hill", a_hill])
         rel_err = [abs(a - alpha) / alpha for a in mle]
@@ -208,9 +217,9 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
     """Run the selection-strength study; the report is a JSON-ready dict.
 
     Each replicate samples from the row's truth and runs the nested
-    selection walk. Rows tracking the EEP-over-EP factor fit the EEP
-    model even when the walk stopped at P, so the tracked statistic is
-    always defined.
+    selection walk; the replicates of a row walk together (select_many).
+    Rows tracking the EEP-over-EP factor fit the EEP model even when the
+    walk stopped at P, so the tracked statistic is always defined.
     """
     rows_out = []
     for ri, row in enumerate(plan.rows):
@@ -218,19 +227,24 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
         reps = []
         tracked = []
         chosen_counts = {"P": 0, "EP": 0, "EEP": 0}
-        for rep in range(plan.n_replicates):
-            rng = substream(seed, ri, rep, _DATA_STREAM)
-            sample = sample_mixture(truth_spec, row.truth_params, row.n_samples, rng)
-            fcfg = FitConfig(
-                restarts=plan.restarts,
-                seed=child_seed(seed, ri, rep, _FIT_STREAM),
-            )
-            sel = select_nested(sample, fcfg, x_min=plan.x_min,
-                                threshold=plan.threshold)
+        samples = [
+            sample_mixture(truth_spec, row.truth_params, row.n_samples,
+                           substream(seed, ri, rep, _DATA_STREAM))
+            for rep in range(plan.n_replicates)
+        ]
+        fcfgs = [
+            FitConfig(restarts=plan.restarts,
+                      seed=child_seed(seed, ri, rep, _FIT_STREAM))
+            for rep in range(plan.n_replicates)
+        ]
+        sels = _raise_first_error(select_many(
+            samples, fcfgs, x_min=plan.x_min, threshold=plan.threshold,
+            eep_always=row.metric == "eep_ep",
+        ))
+        for rep, sel in enumerate(sels):
             bf_eep_ep = sel.log_bf_eep_ep
             if row.metric == "eep_ep" and bf_eep_ep is None:
-                fit_eep = fit_model(sample, _spec_for("EEP", plan.x_min), fcfg)
-                bf_eep_ep = log_bayes_factor(fit_eep, sel.models["EP"])
+                raise FitError(sel.eep_failure)
             chosen_counts[sel.chosen] += 1
             rec = {
                 "rep": rep,

@@ -26,6 +26,13 @@ and halving a step is exact, so one scan of the halved steps finds the
 first feasible trial step, the one that rejecting infeasible points one
 at a time would reach. Every restart's result is bit-identical to
 running it alone.
+
+fit_models runs the restarts of many fits that share one ModelSpec (so
+one slack system and one dimension) through a single lockstep: each
+round makes one kernel call per fit, on that fit's own values, but does
+its bookkeeping once for all rows, so the bookkeeping rounds drop from
+the sum over fits to the most any fit needs. fit_model is its
+one-series case.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DataError, DomainError, FitError
+from .errors import DataError, DomainError, FitError, TailmixError
 from .mixture import BinnedSeries, MixtureParams, ModelSpec, aggregate_counts
 from .seeding import DEFAULT_SEED, substream
 
@@ -161,36 +168,51 @@ def random_init(spec: ModelSpec, rng: np.random.Generator):
     return theta
 
 
-def _objective(values, log_values, mult, spec):
-    """Return f(theta) -> (loglik, grad, hess) for a batch of feasible
-    points.
+def _objective(fits, starts, spec):
+    """Return f(theta, rows) -> (loglik, grad, hess) for a batch of
+    feasible points.
 
-    ``theta`` has shape (B, d), and every row must have all slacks
-    A @ theta + b > 0: the starting points are feasible by construction
-    and ``_feasible_steps`` only hands out feasible trial points. The
-    rows go through one zeta and one kernel call. The kernel's gradient
-    and Hessian, taken with all weights free, map to theta through the
-    affine simplex Jacobian (the tail weight is one minus the others).
-    Every operation is shaped so that row b equals the evaluation of a
-    batch of one at that point, bit for bit. The barrier term is added
-    by ``_barrier``.
+    ``fits`` holds one (values, mult) pair per fit, and fit j owns the
+    rows from starts[j] up to the next fit's start. ``theta`` has shape
+    (B, d), and ``rows`` (ascending) names the row of each point. Every
+    point must have all slacks A @ theta + b > 0: the starting points are
+    feasible by construction and ``_feasible_steps`` only hands out
+    feasible trial points. Each fit's points go through one zeta and one
+    kernel call on that fit's own values and multiplicities. The kernel's
+    gradient and Hessian, taken with all weights free, map to theta
+    through the affine simplex Jacobian (the tail weight is one minus the
+    others). Every operation is shaped so that row b equals the
+    evaluation of a batch of one at that point, bit for bit. The barrier
+    term is added by ``_barrier``.
     """
     literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
     jac = np.insert(np.eye(2 * k + 1), k, 0.0, axis=0)
     jac[k, :k] = -1.0  # d(tail weight) / d(free weights)
+    data = [(values, np.log(values), mult) for values, mult in fits]
+    inner_starts = np.asarray(starts[1:])
 
-    def loglik_grad_hess(theta):
+    def loglik_grad_hess(theta, rows):
         m = np.empty((theta.shape[0], k + 1))
         m[:, :k] = theta[:, :k]
         m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
         lam = np.ascontiguousarray(theta[:, k : 2 * k])
         alpha = np.ascontiguousarray(theta[:, -1])
-        z, dz, d2z = kernels.zeta_pair(alpha, x_min, second=True)
-        ll, g_m, g_lam, g_alpha, hess = kernels.mix_loglik_grad(
-            values, log_values, mult, m, lam, alpha, x_min, z, dz, literal, d2z=d2z
-        )
+        cuts = [0, *np.searchsorted(rows, inner_starts).tolist(), rows.size]
+        parts = []
+        for (values, log_values, mult), lo, hi in zip(data, cuts, cuts[1:]):
+            if lo == hi:
+                continue
+            z, dz, d2z = kernels.zeta_pair(alpha[lo:hi], x_min, second=True)
+            parts.append(kernels.mix_loglik_grad(
+                values, log_values, mult, m[lo:hi], lam[lo:hi], alpha[lo:hi],
+                x_min, z, dz, literal, d2z=d2z,
+            ))
+        if len(parts) == 1:
+            ll, g_m, g_lam, g_alpha, hess = parts[0]
+        else:
+            ll, g_m, g_lam, g_alpha, hess = map(np.concatenate, zip(*parts))
         grad = np.empty(theta.shape)
         grad[:, :k] = g_m[:, :k] - g_m[:, k, None]
         grad[:, k : 2 * k] = g_lam
@@ -204,16 +226,19 @@ def _barrier(a_mat, b_vec, theta, ll, grad, hess, weight, n):
     """(-phi, -grad phi, -hess phi) / n at feasible rows ``theta`` from
     their raw log-likelihoods ``ll``, gradients ``grad`` and Hessians
     ``hess``, where phi = ll + weight * sum(log(s)) and s = A @ theta +
-    b. Dividing by the observation count n makes the stage tolerance per
-    observation. The only code that adds the barrier.
+    b. Dividing by the observation count n (a scalar, or one per row)
+    makes the stage tolerance per observation. The only code that adds
+    the barrier.
     """
     s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
     inv_s = 1.0 / s
-    weight = np.broadcast_to(weight, ll.shape)[:, None]
-    phi = ll + weight[:, 0] * np.log(s).sum(axis=1)
+    # a trailing axis, so that a scalar or one value per row broadcasts
+    weight = np.asarray(weight)[..., None]
+    n = np.asarray(n)[..., None]
+    phi = ll + weight[..., 0] * np.log(s).sum(axis=1)
     g = grad + weight * (a_mat.T @ inv_s[:, :, None])[..., 0]
-    h = hess - weight[:, :, None] * (a_mat.T @ (inv_s[:, :, None] ** 2 * a_mat))
-    return -phi / n, -g / n, -h / n
+    h = hess - weight[..., None] * (a_mat.T @ (inv_s[:, :, None] ** 2 * a_mat))
+    return -phi / n[..., 0], -g / n, -h / n[..., None]
 
 
 # Every step a line search can try from a unit step: 1, 1/2, 1/4, ...
@@ -283,9 +308,11 @@ def _newton_directions(g, h):
 def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     """Run every restart through the barrier schedule, in one batch.
 
-    Row r of ``theta0`` starts restart r; ``fun`` gives raw
-    log-likelihoods, gradients and Hessians, and n is the observation
-    count. One call of ``fun`` evaluates every starting point. Each live
+    Row r of ``theta0`` starts restart r; ``fun(theta, rows)`` gives raw
+    log-likelihoods, gradients and Hessians at the points ``theta`` of
+    rows ``rows``, and n is the observation count, a scalar or one per
+    row: the rows may belong to many fits that share one slack system.
+    One call of ``fun`` evaluates every starting point. Each live
     restart then runs one stage of damped Newton steps with Armijo
     backtracking per weight in BARRIER_WEIGHTS, warm-started from the
     last and opened, as soon as the last ends, by reweighting the barrier
@@ -308,7 +335,8 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     """
     n_rows, dim = theta0.shape
     x = np.array(theta0, dtype=np.float64)
-    ll, ll_grad, ll_hess = fun(x)
+    n = np.broadcast_to(np.asarray(n, dtype=np.float64), (n_rows,))
+    ll, ll_grad, ll_hess = fun(x, np.arange(n_rows))
     live = np.isfinite(ll)
     c = np.array(BARRIER_WEIGHTS)
     stage, it, iters = np.zeros((3, n_rows), dtype=np.int64)
@@ -320,7 +348,7 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     def begin_stage(rows):
         """Reweight the barrier at the stored values; first iteration."""
         raw = (x[rows], ll[rows], ll_grad[rows], ll_hess[rows], c[stage[rows]])
-        f[rows], g[rows], h_r = _barrier(a_mat, b_vec, *raw, n)
+        f[rows], g[rows], h_r = _barrier(a_mat, b_vec, *raw, n[rows])
         it[rows] = 1
         in_stage[rows] = True
         begin_iteration(rows, g[rows], h_r)
@@ -350,8 +378,10 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
 
     def try_step(rows, x_new):
         """Evaluate the trial points; Armijo test; move where it passes."""
-        new = fun(x_new)
-        f_new, g_new, h_new = _barrier(a_mat, b_vec, x_new, *new, c[stage[rows]], n)
+        new = fun(x_new, rows)
+        f_new, g_new, h_new = _barrier(
+            a_mat, b_vec, x_new, *new, c[stage[rows]], n[rows]
+        )
         accept = np.isfinite(f_new) & (
             f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
         )
@@ -379,7 +409,7 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     begin_stage(live.nonzero()[0])
     if raw_first_step:
         rows = (in_stage & (stage == 0)).nonzero()[0]
-        d[rows] = -n * g[rows]
+        d[rows] = -n[rows, None] * g[rows]
         slope[rows] = _row_dot(d[rows], g[rows])
     while in_stage.any():
         rows = in_stage.nonzero()[0]
@@ -397,17 +427,10 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     return x, f, g, decrement, loglik, iters, status, errors
 
 
-def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
-    """Fit one model by restarted barrier optimization.
-
-    Accepts a BinnedSeries or a raw integer count array. Restart r draws
-    its start from substream(config.seed, r), so fits are reproducible.
-    Raises DataError if fewer than 2 distinct counts remain, since no
-    model can then be told from another, and FitError (with per-restart
-    diagnostics attached) if no restart produces a finite log-likelihood.
-    """
-    if config is None:
-        config = FitConfig()
+def _prepare(series, spec):
+    """(series, values, mult, n) for one fit; DataError if fewer than 2
+    distinct counts remain, since no model can then be told from
+    another."""
     if not isinstance(series, BinnedSeries):
         series = BinnedSeries(np.asarray(series), bin_seconds=1.0)
     values, mult = aggregate_counts(series.counts, spec.x_min)
@@ -416,17 +439,15 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
             f"need at least 2 distinct counts >= x_min={spec.x_min} to fit "
             f"{spec.label}, got {values.shape[0]}"
         )
-    log_values = np.log(values)
-    n = int(mult.sum())
+    return series, values, mult, int(mult.sum())
 
-    fun = _objective(values, log_values, mult, spec)
-    a_mat, b_vec = slack_system(spec)
-    rs = range(config.restarts)
-    theta0 = np.array([random_init(spec, substream(config.seed, r)) for r in rs])
-    thetas, fs, grads, decrements, logliks, iters, status, errors = _lockstep(
-        fun, a_mat, b_vec, theta0.reshape(len(rs), spec.dof), n, spec.n_exp == 1
-    )
 
+def _fitted(series, values, n, spec, thetas, fs, grads, decrements, logliks,
+            iters, status, errors):
+    """The FittedModel of one fit from its restarts' lockstep results, or
+    a FitError (with per-restart diagnostics attached) if no restart
+    produced a finite log-likelihood."""
+    restarts = len(logliks)
     restart_logliks = [float(ll) for ll in logliks]
     restart_reports = [
         {"error": errors[r]} if errors[r] is not None else {
@@ -435,13 +456,13 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
             "grad_inf_norm": float(n * np.abs(grads[r]).max()),
             "newton_decrement": float(decrements[r]),
         }
-        for r in range(config.restarts)
+        for r in range(restarts)
     ]
 
     finite = np.isfinite(logliks)
     if not finite.any():
-        raise FitError(
-            f"all {config.restarts} restarts failed for model {spec.label}",
+        return FitError(
+            f"all {restarts} restarts failed for model {spec.label}",
             partial={"restart_logliks": restart_logliks, "restarts": restart_reports},
         )
     # the first restart with the largest finite log-likelihood wins
@@ -462,3 +483,62 @@ def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> Fitte
         data_fingerprint=series.fingerprint(),
         diagnostics=diagnostics,
     )
+
+
+def fit_models(series_list, spec: ModelSpec, configs) -> list:
+    """Fit one model to many series by restarted barrier optimization.
+
+    Each series is a BinnedSeries or a raw integer count array, fitted
+    with the FitConfig at the same place in ``configs``. Restart r of
+    fit j draws its start from substream(configs[j].seed, r), so fits
+    are reproducible. Every restart of every fit runs through one
+    ``_lockstep``: a round costs one kernel call per fit but its
+    bookkeeping once, and each fit's result is bit-identical to fitting
+    its series alone.
+
+    Returns one entry per series: its FittedModel, or the TailmixError
+    that series hit, so one series' error does not stop the others. A
+    DataError means fewer than 2 distinct counts remain; a FitError
+    (with per-restart diagnostics attached) means no restart produced a
+    finite log-likelihood.
+    """
+    results = [None] * len(series_list)
+    ready, prepared = [], []  # (j, config) and _prepare's output per fit
+    for j, (series, config) in enumerate(zip(series_list, configs, strict=True)):
+        try:
+            prepared.append(_prepare(series, spec))
+        except TailmixError as exc:
+            results[j] = exc
+        else:
+            ready.append((j, config))
+    if not ready:
+        return results
+
+    restarts = [config.restarts for _, config in ready]
+    starts = np.cumsum([0] + restarts)
+    fun = _objective([(values, mult) for _, values, mult, _ in prepared],
+                     starts[:-1], spec)
+    a_mat, b_vec = slack_system(spec)
+    theta0 = np.array([
+        random_init(spec, substream(config.seed, r))
+        for _, config in ready for r in range(config.restarts)
+    ]).reshape(starts[-1], spec.dof)
+    n_rows = np.repeat([n for *_, n in prepared], restarts)
+    out = _lockstep(fun, a_mat, b_vec, theta0, n_rows, spec.n_exp == 1)
+    for (j, _), (series, values, _, n), lo, hi in zip(ready, prepared, starts,
+                                                       starts[1:]):
+        results[j] = _fitted(series, values, n, spec, *(o[lo:hi] for o in out))
+    return results
+
+
+def fit_model(series, spec: ModelSpec, config: FitConfig | None = None) -> FittedModel:
+    """Fit one model to one series: the one-series case of fit_models.
+
+    Raises the DataError or FitError that fit_models reports for it.
+    """
+    if config is None:
+        config = FitConfig()
+    (result,) = fit_models([series], spec, [config])
+    if isinstance(result, TailmixError):
+        raise result
+    return result

@@ -7,7 +7,9 @@ when that pass fails, so the values and the line-numbered errors are the
 loop's on every input. Counting uses half-open windows
 [k*w, (k+1)*w) aligned to multiples of the window size, starting at the
 window containing the first flow. An optional uptime sidecar restricts
-counting to bins that lie wholly inside a measured interval.
+counting to bins that lie wholly inside a measured interval. A ladder of
+doubling windows is counted in one pass over the flows, at its smallest
+window; each larger window sums pairs of bins of the one below.
 """
 
 from __future__ import annotations
@@ -138,27 +140,97 @@ def bin_flows(
     first flow through the one containing the last. With an uptime list
     only bins lying wholly inside a measured interval are kept; the
     number dropped is recorded in the series meta, as is the number of
-    zero-count bins removed when drop_zeros is set.
+    zero-count bins removed when drop_zeros is set. The one-window case
+    of bin_at_windows.
     """
+    return bin_at_windows(start_times, (window_seconds,), uptime=uptime,
+                          drop_zeros=drop_zeros, source_id=source_id)[window_seconds]
+
+
+def bin_at_windows(
+    start_times,
+    windows=STANDARD_WINDOWS,
+    uptime=None,
+    drop_zeros: bool = True,
+    source_id: str = "",
+) -> dict:
+    """Bin the same flows at several window sizes; maps window -> series.
+
+    Each series is the one bin_flows describes. The flows are counted
+    once at the smallest window of each run of exact doublings (w, 2w,
+    4w, ...), and each larger window of the run sums pairs of bins of
+    the one below, aligned on even global bin indices. That is exact:
+    t / (2w) = (t / w) / 2 in binary floating point, so bin
+    floor(t / (2w)) is floor(t / w) // 2. ``_doubling_exact`` guards the
+    two ways that can fail (an index too large, a quotient too small).
+    The uptime and zero-bin filters apply per window, after the sums.
+    """
+    if not windows:
+        return {}
     times = np.asarray(start_times, dtype=np.float64)
     if times.size == 0:
         raise DataError("no flow start times")
     if not np.isfinite(times).all():
         raise DataError("start times must be finite")
-    if not (window_seconds > 0):
-        raise DataError(f"window_seconds must be positive, got {window_seconds}")
-    w = float(window_seconds)
-    k0 = math.floor(times.min() / w)
-    idx = np.floor(times / w).astype(np.int64) - k0
-    counts = np.bincount(idx)
+    for w in windows:
+        if not (w > 0):
+            raise DataError(f"window_seconds must be positive, got {w}")
+    spans = None if uptime is None else _sorted_spans(uptime)
+    lo, hi = float(times.min()), float(times.max())
+    series = {}
+    below = None  # (window, k0, counts) of the last window counted
+    for w in sorted({float(w) for w in windows}):
+        if below is not None and below[0] == w / 2 and _doubling_exact(times, lo, hi, w):
+            k0, counts = _pair_sums(*below[1:])
+        else:
+            k0 = math.floor(lo / w)
+            counts = np.bincount(np.floor(times / w).astype(np.int64) - k0)
+        below = (w, k0, counts)
+        series[w] = _filtered(counts, k0, w, times.size, spans, drop_zeros, source_id)
+    return {w: series[float(w)] for w in windows}
+
+
+def _doubling_exact(times, lo, hi, w) -> bool:
+    """Whether bin floor(t / w) is floor(t / (w/2)) // 2 for every t:
+    the indices at w/2 fit in int64 with room to spare, and no negative
+    t / w is so close to 0 that it leaves the normal range, where halving
+    can round it to -0.0."""
+    if max(-lo, hi) / w >= 2.0**61:
+        return False
+    return lo >= 0.0 or -float(times[times < 0.0].max()) / w >= np.finfo(float).tiny
+
+
+def _pair_sums(k0, counts):
+    """(k0, counts) at twice the window: bin K holds bins 2K and 2K + 1."""
+    lead = k0 % 2
+    pairs = np.zeros(2 * ((lead + counts.size + 1) // 2), dtype=counts.dtype)
+    pairs[lead : lead + counts.size] = counts
+    return k0 // 2, pairs.reshape(-1, 2).sum(axis=1)
+
+
+def _sorted_spans(uptime):
+    """Interval begins in ascending order, and for each the largest end of
+    the intervals up to it, so that bin [lo, hi) lies wholly inside one
+    interval exactly when some interval up to the last begin <= lo
+    reaches hi. Spans may be unsorted or overlap; NaN ends reach
+    nothing."""
+    spans = np.array([(b, e) for b, e in uptime], dtype=np.float64).reshape(-1, 2)
+    spans = spans[np.argsort(spans[:, 0], kind="stable")]
+    return spans[:, 0], np.fmax.accumulate(spans[:, 1])
+
+
+def _filtered(counts, k0, w, n_flows, spans, drop_zeros, source_id):
+    """The BinnedSeries of raw counts at window w after the uptime and
+    zero-bin filters, with its meta."""
     n_total = counts.size
     dropped_uptime = 0
-    if uptime is not None:
+    if spans is not None:
+        begins, reach = spans
         edges_lo = (k0 + np.arange(n_total)) * w
         edges_hi = edges_lo + w
-        keep = np.zeros(n_total, dtype=bool)
-        for b, e in uptime:
-            keep |= (edges_lo >= b) & (edges_hi <= e)
+        last = np.searchsorted(begins, edges_lo, side="right") - 1
+        keep = last >= 0
+        keep[keep] = reach[last[keep]] >= edges_hi[keep]
         dropped_uptime = int(n_total - keep.sum())
         counts = counts[keep]
     dropped_zeros = 0
@@ -169,28 +241,13 @@ def bin_flows(
     meta = {
         "window_seconds": w,
         "anchor_seconds": k0 * w,
-        "n_flows": int(times.size),
+        "n_flows": int(n_flows),
         "n_bins_spanned": int(n_total),
         "n_bins_dropped_uptime": dropped_uptime,
         "n_zero_bins_dropped": dropped_zeros,
         "drop_zeros": bool(drop_zeros),
     }
     return BinnedSeries(counts, bin_seconds=w, source_id=source_id, meta=meta)
-
-
-def bin_at_windows(
-    start_times,
-    windows=STANDARD_WINDOWS,
-    uptime=None,
-    drop_zeros: bool = True,
-    source_id: str = "",
-) -> dict:
-    """Bin the same flows at several window sizes; maps window -> series."""
-    return {
-        w: bin_flows(start_times, w, uptime=uptime, drop_zeros=drop_zeros,
-                     source_id=source_id)
-        for w in windows
-    }
 
 
 def write_series_file(path, series: BinnedSeries) -> None:

@@ -4,6 +4,11 @@ Candidate models are nested: P inside EP inside EEP. Selection walks up
 the ladder and only accepts the larger model when the log Bayes factor
 (natural log) clears a conservative threshold, so extra components must
 earn their place.
+
+select_many walks many series at once, rung by rung: every P fit, then
+every EP fit, then EEP on the series whose EP fit won, each rung in one
+fit_models lockstep. select_nested is its one-series case and fits each
+rung through fit_model.
 """
 
 from __future__ import annotations
@@ -11,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ContractError, DomainError, FitError
+from .errors import ContractError, DomainError, TailmixError
 # bic lives in fit; it is imported here so select.bic keeps working
-from .fit import FitConfig, FittedModel, bic, fit_model
+from .fit import FitConfig, FittedModel, bic, fit_model, fit_models
 from .mixture import ModelSpec
 
 # Accept the larger nested model only above this natural-log Bayes
@@ -75,6 +80,96 @@ class SelectionResult:
         return out
 
 
+def _fit_each(series_list, spec, configs):
+    """One rung fitted series by series through fit_model, each error
+    returned in place of its model. select_nested fits this way so that
+    each of its fits is one call of select.fit_model, the name that
+    perfbench times and traces."""
+    results = []
+    for series, config in zip(series_list, configs, strict=True):
+        try:
+            results.append(fit_model(series, spec, config))
+        except TailmixError as exc:
+            results.append(exc)
+    return results
+
+
+def _walk(series_list, configs, fit_rung, x_min, exp_mode, threshold,
+          eep_always=False):
+    """The nested walk over many series, rung by rung.
+
+    ``fit_rung(series_list, spec, configs)`` fits one model to several
+    series and returns one FittedModel or TailmixError per series. Every
+    series gets its P fit, then every series whose P fit worked its EP
+    fit, then the series whose EP fit won (all with ``eep_always``)
+    their EEP fit. Returns one SelectionResult or TailmixError per
+    series.
+    """
+    if not (threshold > 0):
+        raise DomainError(f"threshold must be positive, got {threshold}")
+
+    def rung(n_exp, todo):
+        spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
+        fits = fit_rung([series_list[i] for i in todo], spec,
+                        [configs[i] for i in todo])
+        return dict(zip(todo, fits, strict=True))
+
+    fit_p = rung(0, range(len(series_list)))
+    fit_ep = rung(1, [i for i, m in fit_p.items() if isinstance(m, FittedModel)])
+    bf_ep_p = {i: log_bayes_factor(m, fit_p[i]) for i, m in fit_ep.items()
+               if isinstance(m, FittedModel)}
+    fit_eep = rung(2, [i for i, bf in bf_ep_p.items()
+                       if eep_always or bf > threshold])
+    out = []
+    for i, p in fit_p.items():
+        if i not in bf_ep_p:  # the P or the EP fit failed
+            out.append(fit_ep.get(i, p))
+            continue
+        models = {"P": p, "EP": fit_ep[i]}
+        chosen = "EP" if bf_ep_p[i] > threshold else "P"
+        bf_eep_ep, eep_failure = None, None
+        eep = fit_eep.get(i)
+        if isinstance(eep, TailmixError):
+            eep_failure = str(eep)
+        elif eep is not None:
+            models["EEP"] = eep
+            bf_eep_ep = log_bayes_factor(eep, fit_ep[i])
+            if chosen == "EP" and bf_eep_ep > threshold:
+                chosen = "EEP"
+        out.append(SelectionResult(
+            chosen=chosen,
+            models=models,
+            log_bf_ep_p=bf_ep_p[i],
+            log_bf_eep_ep=bf_eep_ep,
+            threshold=threshold,
+            eep_failure=eep_failure,
+        ))
+    return out
+
+
+def select_many(
+    series_list,
+    configs,
+    *,
+    x_min: int = 1,
+    exp_mode: str = "discrete",
+    threshold: float = DEFAULT_THRESHOLD,
+    eep_always: bool = False,
+) -> list:
+    """The nested walk of select_nested on many series at once.
+
+    ``configs[j]`` seeds the fits of series j. Each rung fits all its
+    series together through fit_models, so each result is bit-identical
+    to select_nested on that series alone. Returns one SelectionResult
+    per series, or the TailmixError that series' P or EP fit hit; one
+    series' error does not stop the others. With ``eep_always`` the EEP
+    fit runs, and its factor over EP is recorded, on every series whose
+    EP fit worked, whether or not EP won; the choice is the walk's.
+    """
+    return _walk(series_list, configs, fit_models, x_min, exp_mode, threshold,
+                 eep_always)
+
+
 def select_nested(
     series,
     config: FitConfig | None = None,
@@ -88,35 +183,13 @@ def select_nested(
     The larger model is accepted only when its log Bayes factor over the
     incumbent strictly exceeds the threshold; ties keep the simpler
     model. If the EEP fit fails, the completed P-versus-EP comparison
-    stands and the failure is recorded on the result.
+    stands and the failure is recorded on the result. A failed P or EP
+    fit raises its DataError or FitError. This is the one-series case of
+    the walk in select_many, with each rung fitted through fit_model.
     """
-    if not (threshold > 0):
-        raise DomainError(f"threshold must be positive, got {threshold}")
     if config is None:
         config = FitConfig()
-    fit_p = fit_model(series, ModelSpec(0, x_min=x_min, exp_mode=exp_mode), config)
-    fit_ep = fit_model(series, ModelSpec(1, x_min=x_min, exp_mode=exp_mode), config)
-    models = {"P": fit_p, "EP": fit_ep}
-    bf_ep_p = log_bayes_factor(fit_ep, fit_p)
-    chosen, bf_eep_ep, eep_failure = "P", None, None
-    if bf_ep_p > threshold:
-        chosen = "EP"
-        try:
-            fit_eep = fit_model(
-                series, ModelSpec(2, x_min=x_min, exp_mode=exp_mode), config
-            )
-        except FitError as exc:
-            eep_failure = str(exc)
-        else:
-            models["EEP"] = fit_eep
-            bf_eep_ep = log_bayes_factor(fit_eep, fit_ep)
-            if bf_eep_ep > threshold:
-                chosen = "EEP"
-    return SelectionResult(
-        chosen=chosen,
-        models=models,
-        log_bf_ep_p=bf_ep_p,
-        log_bf_eep_ep=bf_eep_ep,
-        threshold=threshold,
-        eep_failure=eep_failure,
-    )
+    (sel,) = _walk([series], [config], _fit_each, x_min, exp_mode, threshold)
+    if isinstance(sel, TailmixError):
+        raise sel
+    return sel

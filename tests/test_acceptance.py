@@ -104,18 +104,18 @@ def test_criterion_06_analytic_gradients_match_fd():
         ModelSpec(1), MixtureParams((0.5, 0.5), (0.4,), 1.8), 600, seed=2025
     )
     values, mult = aggregate_counts(sample, 1)
-    log_values = np.log(values)
     for spec in (ModelSpec(0), ModelSpec(1), ModelSpec(2)):
-        fun = fit_module._objective(values, log_values, mult, spec)
+        fun = fit_module._objective([(values, mult)], [0], spec)
+        row = np.zeros(1, dtype=np.int64)
         for point in range(20):
             theta = random_init(spec, substream(909, spec.n_exp, point))
-            grad = fun(theta[None])[1][0]
+            grad = fun(theta[None], row)[1][0]
             for i in range(theta.size):
                 h = 1e-6 * max(1.0, abs(theta[i]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[i] += h
                 tm[i] -= h
-                fd = (fun(tp[None])[0][0] - fun(tm[None])[0][0]) / (2 * h)
+                fd = (fun(tp[None], row)[0][0] - fun(tm[None], row)[0][0]) / (2 * h)
                 rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
                 assert rel <= 1e-5, (spec.label, point, i)
 

@@ -13,6 +13,7 @@ import pytest
 
 from tailmix import __version__
 from tailmix.cli import main
+from tailmix.errors import FitError
 from tailmix.experiments import PRESETS, RecoveryPlan
 from tailmix.ingest import read_series_file, write_series_file
 from tailmix.mixture import BinnedSeries
@@ -207,6 +208,82 @@ class TestFitSelectCommand:
                      "--seed", "5", "--out-dir", str(alone)]) == 0
         name = "sim-ep-n1500.fit-report.json"
         assert (out / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_directory_mode_equals_per_file_runs(self, series_file, tmp_path,
+                                                 capsys):
+        # the series of a directory are fitted together; every output
+        # must be what each file gets on its own
+        d = series_file.parent
+        assert main(["simulate", "--model", "P", "--alpha", "1.8", "--n", "800",
+                     "--seed", "4", "--out-dir", str(d)]) == 0
+        write_series_file(d / "flat.series",
+                          BinnedSeries(np.full(50, 4), bin_seconds=8.0))
+        (d / "broken.series").write_text("1\n2\n", encoding="utf-8")
+        flags = ["--restarts", "4", "--seed", "5"]
+        out = tmp_path / "fits"
+        capsys.readouterr()
+        assert main(["fit-select", "--input", str(d), *flags,
+                     "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: broken.series: {d / 'broken.series'}: missing JSON header line\n"
+            "error: flat.series: need at least 2 distinct counts >= x_min=1 to "
+            "fit P, got 1\n"
+        )
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["file"] for r in rows] == [
+            "broken.series", "flat.series", "sim-ep-n1500.series", "sim-p-n800.series"
+        ]
+        reports = sorted(p.name for p in out.glob("*.fit-report.json"))
+        assert reports == ["sim-ep-n1500.fit-report.json", "sim-p-n800.fit-report.json"]
+        for row in rows:
+            name = row["file"]
+            alone = tmp_path / "alone" / name
+            alone.mkdir(parents=True)
+            (alone / name).write_bytes((d / name).read_bytes())
+            rc = main(["fit-select", "--input", str(alone), *flags,
+                       "--out-dir", str(alone / "out")])
+            assert rc == (1 if row["error"] else 0)
+            with (alone / "out" / "summary.csv").open(newline="") as fh:
+                (alone_row,) = csv.DictReader(fh)
+            if row["error"]:
+                # the message names the file's path, which differs here
+                assert alone_row["error"].replace(str(alone), str(d)) == row["error"]
+                continue
+            assert alone_row == row
+            report = name.replace(".series", ".fit-report.json")
+            assert main(["fit-select", "--input", str(d / name), *flags,
+                         "--out-dir", str(alone / "single")]) == 0
+            assert (out / report).read_bytes() == (alone / "out" / report).read_bytes()
+            assert (out / report).read_bytes() == (alone / "single" / report).read_bytes()
+
+    def test_directory_mode_keeps_an_eep_failure_on_its_series(
+            self, series_file, tmp_path, monkeypatch):
+        from tailmix import select as select_module
+
+        d = series_file.parent
+        assert main(["simulate", "--model", "EP", "--weights", "0.5,0.5",
+                     "--lambdas", "0.3", "--alpha", "1.7", "--n", "1500",
+                     "--seed", "8", "--out", "second.series",
+                     "--out-dir", str(d)]) == 0
+        real = select_module.fit_models
+
+        def eep_fails_on_first(series_list, spec, configs):
+            out = real(series_list, spec, configs)
+            if spec.n_exp == 2:
+                out[0] = FitError("synthetic failure")
+            return out
+
+        monkeypatch.setattr(select_module, "fit_models", eep_fails_on_first)
+        out = tmp_path / "fits"
+        assert main(["fit-select", "--input", str(d), "--restarts", "4",
+                     "--seed", "5", "--out-dir", str(out)]) == 0
+        first = check_report(out / "second.fit-report.json")["results"]["selection"]
+        other = check_report(out / "sim-ep-n1500.fit-report.json")["results"]["selection"]
+        assert first["eep_failure"] == "synthetic failure"
+        assert "EEP" not in first["models"] and first["chosen"] == "EP"
+        assert other["eep_failure"] is None and "EEP" in other["models"]
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         rc = main(["fit-select", "--input", str(tmp_path)])

@@ -132,3 +132,72 @@ class TestRunners:
         for r in rep["rows"]:
             assert len(r["replicates"]) == 2
         assert isinstance(rep["gates"]["pass"], bool)
+
+
+class TestReplicatesFitTogether:
+    """The replicates of a row or grid point are fitted in one lockstep;
+    every figure equals fitting each replicate alone."""
+
+    def test_selection_rows_equal_one_walk_per_replicate(self):
+        from tailmix.experiments import (
+            _DATA_STREAM, _EP_TRUTH, _FIT_STREAM, _P_TRUTH, SelectionRow,
+        )
+        from tailmix.fit import FitConfig, fit_model
+        from tailmix.mixture import ModelSpec, sample_mixture
+        from tailmix.seeding import child_seed
+        from tailmix.select import log_bayes_factor, select_nested
+
+        plan = SelectionPlan(
+            "mini-sel",
+            rows=(
+                SelectionRow("ep", "EP", _EP_TRUTH, 900, "ep_p", "EP"),
+                SelectionRow("p-eep", "P", _P_TRUTH, 900, "eep_ep", "P"),
+            ),
+            n_replicates=2,
+            restarts=3,
+        )
+        seed = 6
+        rep = run_selection_strength(plan, seed=seed)
+        for ri, (row, out) in enumerate(zip(plan.rows, rep["rows"])):
+            truth_spec = ModelSpec(("P", "EP", "EEP").index(row.truth_label))
+            for r, got in enumerate(out["replicates"]):
+                sample = sample_mixture(truth_spec, row.truth_params, row.n_samples,
+                                        substream(seed, ri, r, _DATA_STREAM))
+                cfg = FitConfig(restarts=plan.restarts,
+                                seed=child_seed(seed, ri, r, _FIT_STREAM))
+                sel = select_nested(sample, cfg)
+                bf = sel.log_bf_eep_ep
+                if row.metric == "eep_ep" and bf is None:
+                    bf = log_bayes_factor(fit_model(sample, ModelSpec(2), cfg),
+                                          sel.models["EP"])
+                assert got == {"rep": r, "chosen": sel.chosen,
+                               "log_bf_ep_p": sel.log_bf_ep_p,
+                               "log_bf_eep_ep": bf}
+        # the forced EEP fits ran where the walk stopped at P
+        assert all(r["chosen"] == "P" and r["log_bf_eep_ep"] is not None
+                   for r in rep["rows"][1]["replicates"])
+
+    def test_recovery_points_equal_one_fit_per_replicate(self):
+        from tailmix.experiments import _DATA_STREAM, _FIT_STREAM
+        from tailmix.fit import FitConfig, fit_model
+        from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
+        from tailmix.seeding import child_seed
+
+        plan = MINI_RECOVERY
+        seed = 9
+        rep = run_alpha_recovery(plan, seed=seed)
+        spec = ModelSpec(1)
+        want = []
+        for gi, alpha in enumerate(plan.alphas):
+            for r in range(plan.n_replicates):
+                rng = substream(seed, gi, r, _DATA_STREAM)
+                lam = float(rng.uniform(*plan.lambda_range))
+                truth = MixtureParams((plan.mix_weight, 1 - plan.mix_weight),
+                                      (lam,), alpha)
+                sample = sample_mixture(spec, truth, plan.n_samples, rng)
+                cfg = FitConfig(restarts=plan.restarts,
+                                seed=child_seed(seed, gi, r, _FIT_STREAM))
+                fm = fit_model(sample, spec, cfg)
+                want.append([alpha, r, "mle", fm.params.alpha])
+                want.append([alpha, r, "hill", hill_estimate(sample, plan.tail_fraction)])
+        assert rep["records"] == want

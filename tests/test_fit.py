@@ -83,11 +83,11 @@ class TestRandomInit:
 
 
 class TestGradients:
-    def fd_check(self, spec, theta, values, log_values, mult, tol=1e-5):
-        objective = fit_module._objective(values, log_values, mult, spec)
+    def fd_check(self, spec, theta, values, mult, tol=1e-5):
+        objective = fit_module._objective([(values, mult)], [0], spec)
 
         def fun(t):
-            f, g, hess = objective(t[None])
+            f, g, hess = objective(t[None], np.zeros(1, dtype=np.int64))
             return f[0], g[0], hess[0]
 
         _, grad, hess = fun(theta)
@@ -113,18 +113,17 @@ class TestGradients:
         from tailmix.mixture import aggregate_counts
 
         values, mult = aggregate_counts(sample, 1)
-        log_values = np.log(values)
         for spec in (P, EP, EEP):
             for r in range(3):
                 theta = random_init(spec, substream(55, spec.n_exp, r))
-                self.fd_check(spec, theta, values, log_values, mult)
+                self.fd_check(spec, theta, values, mult)
 
     def test_literal_mode_gradient(self):
         spec = ModelSpec(1, exp_mode="paper-literal")
         values = np.array([1.0, 2.0, 3.0, 8.0, 50.0])
         mult = np.array([5.0, 3.0, 2.0, 1.0, 1.0])
         theta = np.array([0.6, 0.7, 2.1])
-        self.fd_check(spec, theta, values, np.log(values), mult)
+        self.fd_check(spec, theta, values, mult)
 
 
 class TestFitModel:
@@ -230,9 +229,9 @@ class TestFitModel:
         k = spec.n_exp
         theta = np.array(fm.params.weights[:k] + fm.params.lambdas + (fm.params.alpha,))
         values, mult = aggregate_counts(sample, spec.x_min)
-        fun = fit_module._objective(values, np.log(values), mult, spec)
+        fun = fit_module._objective([(values, mult)], [0], spec)
         a, b = slack_system(spec)
-        ll, grad, hess = fun(theta[None])
+        ll, grad, hess = fun(theta[None], np.zeros(1, dtype=np.int64))
         weight = fit_module.BARRIER_WEIGHTS[-1]
         neg_phi, g, h = fit_module._barrier(a, b, theta[None], ll, grad, hess, weight,
                                             fm.n)
@@ -261,14 +260,14 @@ class TestFitModel:
         real = fit_module._objective
         rows_seen = []
 
-        def checked(values, log_values, mult, spec):
-            fun = real(values, log_values, mult, spec)
+        def checked(fits, starts, spec):
+            fun = real(fits, starts, spec)
             a, b = slack_system(spec)
 
-            def loglik_grad(theta):
+            def loglik_grad(theta, rows):
                 assert ((a @ theta[:, :, None])[..., 0] + b > 0.0).all()
                 rows_seen.append(theta.shape[0])
-                return fun(theta)
+                return fun(theta, rows)
 
             return loglik_grad
 
@@ -299,7 +298,7 @@ class TestLockstep:
         sample = sample_mixture(ModelSpec(1, x_min=x_min), truth, 1200, seed=31)
         spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
         values, mult = aggregate_counts(sample, x_min)
-        fun = fit_module._objective(values, np.log(values), mult, spec)
+        fun = fit_module._objective([(values, mult)], [0], spec)
         a, b = slack_system(spec)
         theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
         n = mult.sum()
@@ -316,6 +315,66 @@ class TestLockstep:
             assert batch[5][r] == alone[5][0]  # iterations
             assert batch[6][r] == alone[6][0]  # stage statuses
             assert batch[7][r] is None and alone[7][0] is None
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    @pytest.mark.parametrize("n_exp", [0, 1, 2])
+    def test_fit_models_equal_fits_run_alone(self, n_exp, exp_mode, x_min):
+        # series of different sizes, seeds and restart counts, with a
+        # degenerate series in the middle of the batch
+        truth = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
+        series = [sample_mixture(ModelSpec(2, x_min=x_min), truth, n, seed=n)
+                  for n in (300, 800, 1500)]
+        series.insert(1, np.full(40, x_min + 2))
+        configs = [FitConfig(restarts=r, seed=s)
+                   for r, s in ((3, 1), (2, 2), (4, 3), (2, 4))]
+        spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
+        batch = fit_module.fit_models(series, spec, configs)
+        for j, (counts, config) in enumerate(zip(series, configs)):
+            if j == 1:
+                assert isinstance(batch[j], DataError)
+                with pytest.raises(DataError, match=str(batch[j])):
+                    fit_model(counts, spec, config)
+                continue
+            alone = fit_model(counts, spec, config)
+            assert isinstance(batch[j], FittedModel)
+            assert batch[j].params == alone.params
+            assert batch[j].loglik == alone.loglik
+            assert batch[j].n == alone.n
+            assert batch[j].data_fingerprint == alone.data_fingerprint
+            assert batch[j].diagnostics == alone.diagnostics
+
+    def test_fit_models_isolate_a_failed_fit(self, monkeypatch):
+        # every restart of the second fit fails; the others are untouched
+        real = kernels.mix_loglik_grad
+        sizes = []
+
+        def nan_for_the_second(x, *args, **kwargs):
+            ll, *rest = real(x, *args, **kwargs)
+            if x.shape[0] == sizes[1]:
+                ll = np.full_like(ll, np.nan)
+            return (ll, *rest)
+
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        series = [sample_mixture(EP, truth, n, seed=5) for n in (600, 2500, 900)]
+        sizes.extend(aggregate_counts(s, 1)[0].shape[0] for s in series)
+        assert len(set(sizes)) == 3
+        configs = [FitConfig(restarts=3, seed=s) for s in (1, 2, 3)]
+        want = [fit_model(s, EP, c) for s, c in zip(series, configs)]
+        monkeypatch.setattr(kernels, "mix_loglik_grad", nan_for_the_second)
+        got = fit_module.fit_models(series, EP, configs)
+        assert isinstance(got[1], FitError)
+        assert str(got[1]) == "all 3 restarts failed for model EP"
+        assert len(got[1].partial["restart_logliks"]) == 3
+        for j in (0, 2):
+            assert got[j].params == want[j].params
+            assert got[j].diagnostics == want[j].diagnostics
+        with pytest.raises(FitError, match="all 3 restarts failed"):
+            fit_model(series[1], EP, configs[1])
+
+    def test_fit_models_needs_one_config_per_series(self):
+        with pytest.raises(ValueError):
+            fit_module.fit_models([[1, 2, 3], [1, 2, 4]], P, [FitConfig()])
 
 
 class TestBarrier:
@@ -397,13 +456,13 @@ class TestNewtonDirections:
         n = 50.0
         seen = []
 
-        def bowl(theta):
+        def bowl(theta, rows):
             seen.append(theta.copy())
             u = theta[:, 0] - 2.0
             return -n * u**2, (-2.0 * n * u)[:, None], np.full((1, 1, 1), -2.0 * n)
 
         theta0 = np.array([[3.0]])
-        _, g0, h0 = fit_module._barrier(a, b, theta0, *bowl(theta0),
+        _, g0, h0 = fit_module._barrier(a, b, theta0, *bowl(theta0, [0]),
                                         fit_module.BARRIER_WEIGHTS[0], n)
         seen.clear()
         fit_module._lockstep(bowl, a, b, theta0, n, raw)
@@ -422,13 +481,13 @@ class TestNewtonDirections:
         a, b = slack_system(P)
         n = 50.0
 
-        def well(theta):
+        def well(theta, rows):
             u = theta[:, 0] - 2.5
             return (-n * (u**2 - 0.25) ** 2, (-4.0 * n * u * (u**2 - 0.25))[:, None],
                     (n * (1.0 - 12.0 * u**2))[:, None, None])
 
         theta0 = np.array([[2.45]])
-        _, g0, h0 = fit_module._barrier(a, b, theta0, *well(theta0),
+        _, g0, h0 = fit_module._barrier(a, b, theta0, *well(theta0, [0]),
                                         fit_module.BARRIER_WEIGHTS[0], n)
         assert h0[0, 0, 0] < 0.0
         d0 = fit_module._newton_directions(g0, h0)[0, 0]
@@ -498,7 +557,7 @@ class TestFeasibleSteps:
 
         calls = []
 
-        def steep(theta):
+        def steep(theta, rows):
             # log-likelihood falling 1e20 per unit of alpha with unit
             # curvature: the first Newton direction leaves the feasible
             # set at every step
@@ -521,7 +580,7 @@ class TestFeasibleSteps:
         theta0 = np.array([[1.5], [3.0]])
         calls = []
 
-        def uphill(theta):
+        def uphill(theta, rows):
             # below alpha 2.5 the log-likelihood rises 100 per unit of
             # alpha, above it it falls, and the reported gradient has the
             # opposite sign; with unit curvature the Newton direction

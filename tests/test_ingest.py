@@ -134,6 +134,18 @@ class TestWindowLadder:
             assert s.bin_seconds == w
             assert s.counts.sum() == 400  # no uptime and all bins spanned
 
+    def test_ladder_keeps_per_window_bins_where_halving_underflows(self):
+        # -2**-1072 / 4 is the smallest subnormal, in bin -1, but
+        # -2**-1072 / 8 rounds to -0.0, in bin 0: no pair sum gives that
+        times = [-(2.0**-1072), 3.0, 9.5]
+        assert math.floor(times[0] / 4) == -1 and math.floor(times[0] / 8) == 0
+        series = bin_at_windows(times, (4, 8), drop_zeros=False)
+        for w, s in series.items():
+            alone = bin_flows(times, w, drop_zeros=False)
+            np.testing.assert_array_equal(s.counts, alone.counts)
+            assert s.meta == alone.meta
+        assert series[8].counts.tolist() == [2, 1]
+
 
 class TestFlowFile:
     def test_reads_csv_and_tsv(self, tmp_path):
@@ -441,3 +453,16 @@ class TestProperties:
         assert s.meta["n_bins_dropped_uptime"] == drop_up
         assert s.meta["n_zero_bins_dropped"] == drop_z
         assert s.meta["n_flows"] == len(times)
+        # a ladder of doublings, out of order and with a window off the
+        # ladder, binned together: each equals the oracle and bin_flows
+        ladder = (4 * w, w, 8 * w, 3 * w, 2 * w)
+        series = bin_at_windows(times, ladder, uptime=uptime, drop_zeros=drop)
+        assert list(series) == list(ladder)
+        for v, got in series.items():
+            ref, drop_up, drop_z = oracle_bin(times, v, uptime, drop)
+            np.testing.assert_array_equal(got.counts, np.array(ref, dtype=np.int64))
+            assert got.meta["n_bins_dropped_uptime"] == drop_up
+            assert got.meta["n_zero_bins_dropped"] == drop_z
+            alone = bin_flows(times, v, uptime=uptime, drop_zeros=drop)
+            assert got.meta == alone.meta
+            assert got.bin_seconds == alone.bin_seconds == v

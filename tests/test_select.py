@@ -8,12 +8,14 @@ import pytest
 import frozen_values as fv
 from tailmix import select as select_module
 from tailmix.errors import ContractError, DataError, DomainError, FitError
-from tailmix.fit import FitConfig, fit_model
+from tailmix.fit import FitConfig, FittedModel, fit_model
+from tailmix.reporting import canonical_json, serialize_selection
 from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
 from tailmix.select import (
     SelectionResult,
     bic,
     log_bayes_factor,
+    select_many,
     select_nested,
     strength_label,
 )
@@ -162,3 +164,90 @@ class TestNestedSelection:
         assert isinstance(sel, SelectionResult)
         assert sel.threshold == 10.0
         assert set(sel.models) == {"P", "EP"}
+
+
+class TestSelectMany:
+    """The walk across many series equals select_nested on each alone."""
+
+    @staticmethod
+    def _series():
+        ep = MixtureParams((0.5, 0.5), (0.2,), 1.6)
+        eep = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
+        return [
+            sample_mixture(ModelSpec(0), MixtureParams((1.0,), (), 1.7), 1000, seed=21),
+            sample_mixture(ModelSpec(1), ep, 1500, seed=22),
+            np.full(60, 3),  # one distinct count: a DataError from P
+            sample_mixture(ModelSpec(2), eep, 2500, seed=23),
+        ]
+
+    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    def test_results_equal_select_nested_bit_for_bit(self, exp_mode):
+        series = self._series()
+        configs = [FitConfig(restarts=3, seed=s) for s in (3, 4, 5, 6)]
+        got = select_many(series, configs, exp_mode=exp_mode)
+        assert isinstance(got[2], DataError)
+        assert "EEP" in got[1].models and "EEP" in got[3].models
+        for j in (0, 1, 3):
+            alone = select_nested(series[j], configs[j], exp_mode=exp_mode)
+            assert (canonical_json(serialize_selection(got[j]))
+                    == canonical_json(serialize_selection(alone)))
+        assert [got[j].chosen for j in (0, 1)] == ["P", "EP"]
+
+    def test_eep_failure_stays_on_its_series(self, monkeypatch):
+        real = select_module.fit_models
+
+        def eep_fails_on_first(series_list, spec, configs):
+            out = real(series_list, spec, configs)
+            if spec.n_exp == 2:
+                out[0] = FitError("synthetic failure")
+            return out
+
+        monkeypatch.setattr(select_module, "fit_models", eep_fails_on_first)
+        ep = MixtureParams((0.5, 0.5), (0.2,), 1.6)
+        series = [sample_mixture(ModelSpec(1), ep, 2500, seed=s) for s in (14, 15)]
+        got = select_many(series, [CFG, CFG])
+        assert got[0].chosen == "EP" and got[0].eep_failure == "synthetic failure"
+        assert got[0].log_bf_eep_ep is None and "EEP" not in got[0].models
+        assert got[1].eep_failure is None and "EEP" in got[1].models
+
+    def test_eep_always_fits_eep_without_changing_the_choice(self):
+        series = self._series()[:2]
+        configs = [FitConfig(restarts=3, seed=s) for s in (3, 4)]
+        walk = select_many(series, configs)
+        always = select_many(series, configs, eep_always=True)
+        assert walk[0].chosen == always[0].chosen == "P"
+        assert "EEP" not in walk[0].models
+        eep = fit_model(series[0], ModelSpec(2), configs[0])
+        assert always[0].models["EEP"].params == eep.params
+        assert always[0].log_bf_eep_ep == log_bayes_factor(eep, walk[0].models["EP"])
+        assert (canonical_json(serialize_selection(always[1]))
+                == canonical_json(serialize_selection(walk[1])))
+
+    def test_threshold_validated_once(self):
+        with pytest.raises(DomainError):
+            select_many([np.array([1, 2, 3])], [CFG], threshold=0.0)
+
+
+def test_select_nested_fits_each_rung_through_select_fit_model(monkeypatch):
+    # perfbench times and traces select_nested's fits by wrapping
+    # select.fit_model: each fitted rung must make exactly one call there,
+    # and each call must return a FittedModel
+    real = select_module.fit_model
+    calls = []
+
+    def counting(series, spec, config=None):
+        model = real(series, spec, config)
+        calls.append((spec.label, type(model)))
+        return model
+
+    monkeypatch.setattr(select_module, "fit_model", counting)
+    ep = MixtureParams((0.5, 0.5), (0.2,), 1.6)
+    sel = select_nested(sample_mixture(ModelSpec(1), ep, 2500, seed=12), CFG)
+    assert sel.chosen == "EP"
+    assert calls == [("P", FittedModel), ("EP", FittedModel), ("EEP", FittedModel)]
+    calls.clear()
+    sel = select_nested(
+        sample_mixture(ModelSpec(0), MixtureParams((1.0,), (), 1.6), 3000, seed=11), CFG
+    )
+    assert sel.chosen == "P"
+    assert calls == [("P", FittedModel), ("EP", FittedModel)]
