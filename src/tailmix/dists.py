@@ -8,6 +8,10 @@ lam*exp(-lam*x) pointwise. The literal mode is not a probability mass
 function, so sampling under it is refused. The component densities are
 evaluated only by ``mixture.component_log_pmfs``, over the ``kernels``
 helpers that the fits use; the power-law sampler reads the same zeta.
+
+The power-law sampler inverts a cumulative table of up to 8 MB. The
+last table built is kept, keyed on (alpha, x_min), so a run of draws at
+one power tail builds it once.
 """
 
 from __future__ import annotations
@@ -111,16 +115,14 @@ def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:
     return rng.geometric(p, size=n).astype(np.int64) + (x_min - 1)
 
 
-def _pareto_table(params: ParetoParams) -> np.ndarray:
+def _build_pareto_table(params: ParetoParams) -> np.ndarray:
     """Cumulative pmf over x_min..x_min+L-1. L starts at 1024 and doubles
     until the table covers _TABLE_MASS or reaches _TABLE_MAX.
 
     The table is built in place in one _TABLE_MAX buffer: each doubling
     computes only its new terms and carries the running sum on from the
     last entry. The running sum adds in order, so every prefix equals a
-    one-shot cumsum of that length bit for bit. Tables are not kept
-    across calls: a full table is 8 MB, and a fit grid cycles through
-    several alphas.
+    one-shot cumsum of that length bit for bit.
     """
     z = kernels.zeta_pair(params.alpha, float(params.x_min))[0]
     cum = np.empty(_TABLE_MAX)
@@ -135,6 +137,31 @@ def _pareto_table(params: ParetoParams) -> np.ndarray:
         if cum[hi - 1] >= _TABLE_MASS or hi >= _TABLE_MAX:
             return cum[:hi]
         lo, hi = hi, hi << 1
+
+
+# The last table built, keyed on (alpha, x_min): at most one entry.
+_kept_table: dict = {}
+
+
+def _pareto_table(params: ParetoParams) -> np.ndarray:
+    """The sampling table of params, read-only, built on a miss.
+
+    One table is kept: a replicate study draws many samples at one
+    (alpha, x_min) in a row. A miss drops the kept table before it builds
+    the next, so two full tables are never alive at once; a cache that
+    evicts after building (``lru_cache``) would hold 16 MB at each miss.
+    The table is a pure function of (alpha, x_min), so a kept table
+    equals a new build bit for bit.
+    """
+    # float() so that an alpha given as a 0-d array is hashable
+    key = (float(params.alpha), params.x_min)
+    cum = _kept_table.get(key)
+    if cum is None:
+        _kept_table.clear()
+        cum = _build_pareto_table(params)
+        cum.flags.writeable = False
+        _kept_table[key] = cum
+    return cum
 
 
 def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:

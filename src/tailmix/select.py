@@ -13,6 +13,7 @@ rung through fit_model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ _BANDS = {
     "natural": (3.0, 4.5, 7.0),
 }
 _BAND_NAMES = ("negligible", "substantial", "strong", "decisive")
+_LN10 = math.log(10.0)
 
 
 class Strength(NamedTuple):
@@ -74,9 +76,12 @@ class SelectionResult:
         return self.models[self.chosen]
 
     def strengths(self, base: str = "log10") -> dict:
-        out = {"EP_vs_P": strength_label(self.log_bf_ep_p, base)}
+        """Evidence band of each comparison on the ``base`` scale. The
+        factors are natural logs, so the log10 bands see them over ln 10."""
+        scale = _LN10 if base == "log10" else 1.0
+        out = {"EP_vs_P": strength_label(self.log_bf_ep_p / scale, base)}
         if self.log_bf_eep_ep is not None:
-            out["EEP_vs_EP"] = strength_label(self.log_bf_eep_ep, base)
+            out["EEP_vs_EP"] = strength_label(self.log_bf_eep_ep / scale, base)
         return out
 
 

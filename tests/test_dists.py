@@ -219,8 +219,35 @@ class TestParetoTable:
         assert {1 << 13, 1 << 15, 1 << 16, dists._TABLE_MAX} <= sizes
 
     def test_draws_equal_draws_from_rebuilt_table(self, monkeypatch):
-        params = [ParetoParams(1.2), ParetoParams(2.0, 3), ParetoParams(3.99)]
-        got = [sample_pareto(p, 50_000, seed=21) for p in params]
+        # repeats hit the kept table, alternations rebuild it
+        a, b, c = ParetoParams(1.2), ParetoParams(2.0, 3), ParetoParams(3.99)
+        params = [a, a, b, a, b, b, c, a]
+        got = [sample_pareto(p, 50_000, seed=21 + i) for i, p in enumerate(params)]
         monkeypatch.setattr(dists, "_pareto_table", _pareto_table_rebuilt)
-        for p, xs in zip(params, got):
-            np.testing.assert_array_equal(xs, sample_pareto(p, 50_000, seed=21))
+        for i, (p, xs) in enumerate(zip(params, got)):
+            np.testing.assert_array_equal(xs, sample_pareto(p, 50_000, seed=21 + i))
+
+
+class TestKeptTable:
+    def test_repeated_params_build_once(self, table_builds):
+        p = ParetoParams(1.6)
+        first = dists._pareto_table(p)
+        for seed in range(3):
+            sample_pareto(p, 100, seed=seed)
+        # an alpha given as a 0-d array finds the same table
+        assert dists._pareto_table(ParetoParams(np.array(1.6), 1)) is first
+        assert table_builds == [(1.6, 1, 0)]
+
+    def test_alternating_params_rebuild_from_an_empty_memo(self, table_builds):
+        # x_min is part of the key as well as alpha
+        seq = [ParetoParams(1.4), ParetoParams(1.8), ParetoParams(1.4),
+               ParetoParams(1.4, 2), ParetoParams(1.4)]
+        for i, p in enumerate(seq):
+            sample_pareto(p, 100, seed=i)
+        assert table_builds == [(p.alpha, p.x_min, 0) for p in seq]
+
+    def test_kept_table_is_read_only(self):
+        cum = dists._pareto_table(ParetoParams(2.5))
+        assert not cum.flags.writeable
+        with pytest.raises(ValueError):
+            cum[0] = 0.0

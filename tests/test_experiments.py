@@ -201,3 +201,29 @@ class TestReplicatesFitTogether:
                 want.append([alpha, r, "mle", fm.params.alpha])
                 want.append([alpha, r, "hill", hill_estimate(sample, plan.tail_fraction)])
         assert rep["records"] == want
+
+
+class TestSamplingTableBuilds:
+    """Replicates at one power tail draw from one kept sampling table."""
+
+    def test_selection_rows_at_one_alpha_build_one_table(self, table_builds):
+        from tailmix.experiments import _EP_TRUTH, _P_TRUTH, SelectionRow
+
+        plan = SelectionPlan(
+            "mini-sel",
+            rows=(
+                SelectionRow("ep", "EP", _EP_TRUTH, 600, "ep_p", "EP"),
+                SelectionRow("p", "P", _P_TRUTH, 600, "choice", "P"),
+            ),
+            n_replicates=3,
+            restarts=2,
+        )
+        run_selection_strength(plan, seed=5)
+        assert table_builds == [(1.6, 1, 0)]
+
+    def test_recovery_grid_builds_one_table_per_alpha(self, table_builds):
+        plan = RecoveryPlan(
+            "mini", alphas=(1.4, 1.8), n_samples=600, n_replicates=3, restarts=2
+        )
+        run_alpha_recovery(plan, seed=5)
+        assert table_builds == [(1.4, 1, 0), (1.8, 1, 0)]

@@ -70,6 +70,25 @@ class TestStrengthLabels:
         with pytest.raises(DomainError):
             strength_label(1.0, base="log2")
 
+    @pytest.mark.parametrize(
+        "ln_bf,natural,log10,sign",
+        [
+            (4.0, "substantial", "substantial", 1),  # log10 1.74
+            (5.0, "strong", "strong", 1),  # log10 2.17
+            (-6.0, "strong", "strong", -1),  # log10 -2.61
+        ],
+    )
+    def test_result_strengths_convert_natural_log_factors(
+        self, ln_bf, natural, log10, sign
+    ):
+        # the factors are natural logs; the log10 bands must see them
+        # divided by ln 10, not as they are
+        sel = SelectionResult("EP", {}, log_bf_ep_p=ln_bf, log_bf_eep_ep=ln_bf)
+        for base, label in (("natural", natural), ("log10", log10)):
+            st = sel.strengths(base)
+            assert st["EP_vs_P"] == (label, sign)
+            assert st["EEP_vs_EP"] == (label, sign)
+
 
 class TestLogBayesFactor:
     def test_is_bic_difference_on_shared_data(self):
