@@ -9,13 +9,17 @@ function, so sampling under it is refused. The component densities are
 evaluated only by ``mixture.component_log_pmfs``, over the ``kernels``
 helpers that the fits use; the power-law sampler reads the same zeta.
 
-The power-law sampler inverts a cumulative table of up to 8 MB. The
-last table built is kept, keyed on (alpha, x_min), so a run of draws at
-one power tail builds it once.
+The power-law sampler inverts the cumulative pmf over up to 2^20 support
+values. That table is never held whole: per (alpha, x_min) it keeps the
+first 4096 prefix sums and every 256th, at most 64 KB, for the 32 most
+recently used keys, and folds again only the 256-value blocks that draws
+fall in. A caller that cycles through up to 32 keys builds each once
+per process, in whatever order it visits them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,10 +36,19 @@ RATE_MIN = 1e-12
 
 EXP_MODES = ("discrete", "paper-literal")
 
-# Sampling table controls: extend until this much mass is covered, then
-# fall back to the analytic tail for the remainder.
+# Power-law sampling controls: the cumulative pmf extends until this
+# much mass is covered, then the analytic tail takes the remainder.
 _TABLE_MASS = 1.0 - 1e-12
 _TABLE_MAX = 1 << 20
+# Kept per (alpha, x_min): the first _HEAD prefix sums and the last sum
+# of every _BLOCK-value block; at _TABLE_MAX that is 2 x 32 KB. _BLOCK
+# divides 1024 and _HEAD is a power of two in [1024, _CHUNK], so both
+# line up with the build's chunk ends.
+_BLOCK = 256
+_HEAD = 4096
+# Values folded per build step (512 KB of float64), and keys kept.
+_CHUNK = 1 << 16
+_KEPT_KEYS = 32
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -115,76 +128,101 @@ def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:
     return rng.geometric(p, size=n).astype(np.int64) + (x_min - 1)
 
 
-def _build_pareto_table(params: ParetoParams) -> np.ndarray:
-    """Cumulative pmf over x_min..x_min+L-1. L starts at 1024 and doubles
-    until the table covers _TABLE_MASS or reaches _TABLE_MAX.
+def _fold(sums: np.ndarray, alpha: float, z: float) -> None:
+    """Prefix sums of power-law masses, in place, along the last axis.
 
-    The table is built in place in one _TABLE_MAX buffer: each doubling
-    computes only its new terms and carries the running sum on from the
-    last entry. The running sum adds in order, so every prefix equals a
-    one-shot cumsum of that length bit for bit.
+    On entry each row holds a start sum in column 0 and the support
+    values x after it; on exit column j holds the start sum plus the
+    masses x^-alpha / z of columns 1..j, added left to right. The power
+    runs over the whole contiguous array, so every x takes the same path
+    wherever it sits in it.
     """
-    z = kernels.zeta_pair(params.alpha, float(params.x_min))[0]
-    cum = np.empty(_TABLE_MAX)
-    lo, hi = 0, 1 << 10
+    start = sums[..., 0].copy()
+    sums[..., 0] = 1.0
+    np.power(sums, -alpha, out=sums)
+    sums /= z
+    sums[..., 0] = start
+    np.cumsum(sums, axis=-1, out=sums)
+
+
+@functools.lru_cache(maxsize=_KEPT_KEYS)
+def _pareto_checkpoints(alpha: float, x_min: int):
+    """(zeta, head, ends) of the cumulative pmf S over x_min..x_min+L-1.
+
+    L is the first power of two >= 1024 with S[L-1] >= _TABLE_MASS, or
+    _TABLE_MAX. S is folded in chunks, each continuing the running sum
+    from the last, so every prefix equals a one-shot cumsum bit for bit.
+    Only head = S[:_HEAD] and ends = S[_BLOCK-1::_BLOCK] are kept,
+    read-only.
+    """
+    z = kernels.zeta_pair(alpha, float(x_min))[0]
+    head = np.empty(_HEAD)
+    ends = np.empty(_TABLE_MAX // _BLOCK)
+    lo = 0
     while True:
-        new = cum[lo:hi]
-        new[:] = np.arange(params.x_min + lo, params.x_min + hi, dtype=np.float64)
-        np.power(new, -params.alpha, out=new)
-        new /= z
-        run = cum[max(lo - 1, 0) : hi]
-        np.cumsum(run, out=run)
-        if cum[hi - 1] >= _TABLE_MASS or hi >= _TABLE_MAX:
-            return cum[:hi]
-        lo, hi = hi, hi << 1
-
-
-# The last table built, keyed on (alpha, x_min): at most one entry.
-_kept_table: dict = {}
-
-
-def _pareto_table(params: ParetoParams) -> np.ndarray:
-    """The sampling table of params, read-only, built on a miss.
-
-    One table is kept: a replicate study draws many samples at one
-    (alpha, x_min) in a row. A miss drops the kept table before it builds
-    the next, so two full tables are never alive at once; a cache that
-    evicts after building (``lru_cache``) would hold 16 MB at each miss.
-    The table is a pure function of (alpha, x_min), so a kept table
-    equals a new build bit for bit.
-    """
-    # float() so that an alpha given as a 0-d array is hashable
-    key = (float(params.alpha), params.x_min)
-    cum = _kept_table.get(key)
-    if cum is None:
-        _kept_table.clear()
-        cum = _build_pareto_table(params)
-        cum.flags.writeable = False
-        _kept_table[key] = cum
-    return cum
+        # chunks double from 1024 to _CHUNK, then stay at _CHUNK, so every
+        # power of two that the stop rule reads is a chunk's end
+        hi = max(1 << 10, min(2 * lo, lo + _CHUNK))
+        run = np.empty(hi - lo + 1)
+        run[0] = ends[lo // _BLOCK - 1] if lo else 0.0
+        run[1:] = np.arange(x_min + lo, x_min + hi, dtype=np.float64)
+        _fold(run, alpha, z)
+        if hi <= _HEAD:
+            head[lo:hi] = run[1:]
+        ends[lo // _BLOCK : hi // _BLOCK] = run[_BLOCK::_BLOCK]
+        if hi & (hi - 1) == 0 and (run[-1] >= _TABLE_MASS or hi >= _TABLE_MAX):
+            break
+        lo = hi
+    head, ends = head[:hi], ends[: hi // _BLOCK]
+    head.flags.writeable = ends.flags.writeable = False
+    return z, head, ends
 
 
 def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:
     """Draw n values from the discrete power law by inverse CDF.
 
-    Draws beyond the tabulated range use a continuous power-law draw from
-    the table edge, rounded to the nearest integer. Results are clamped
-    to the int64 maximum; at very small alpha a draw can exceed it.
+    A draw u maps to the number of prefix sums S[i] <= u. Draws below
+    the head's last sum are looked up in the head. The others find their
+    block among the checkpoints; the blocks that some draw falls in are
+    folded again from the checkpoint before them, as in the build, so
+    the lookup is the one a full table gives, bit for bit. Draws at or
+    beyond the last checkpoint use a continuous power-law draw from the
+    table edge, rounded to the nearest integer. Results are clamped to
+    the int64 maximum; at very small alpha a draw can exceed it.
     """
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
-    cum = _pareto_table(params)
+    # float() so that an alpha given as a 0-d array is hashable
+    alpha = float(params.alpha)
+    z, head, ends = _pareto_checkpoints(alpha, params.x_min)
     u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
+    idx = np.searchsorted(head, u, side="right")
+    far = np.flatnonzero(idx == head.shape[0])
+    block = np.searchsorted(ends, u[far], side="right")
+    inner = block < ends.shape[0]
+    mid = far[inner]
+    if mid.size:
+        # each such block lies past the head, so a checkpoint precedes it
+        blocks, row = np.unique(block[inner], return_inverse=True)
+        sums = np.empty((blocks.shape[0], _BLOCK + 1))
+        sums[:, 0] = ends[blocks - 1]
+        sums[:, 1:] = (params.x_min + _BLOCK * blocks)[:, None] + np.arange(
+            _BLOCK, dtype=np.float64
+        )
+        _fold(sums, alpha, z)
+        # pos counts every sum of the rows before the draw's row, and its
+        # row's start sum: all are <= u. The rest is its place in the block.
+        pos = np.searchsorted(sums.ravel(), u[mid], side="right")
+        idx[mid] = _BLOCK * blocks[row] + pos - (_BLOCK + 1) * row - 1
     out = params.x_min + idx.astype(np.int64)
-    in_tail = idx >= cum.shape[0]
-    if in_tail.any():
-        edge = params.x_min + cum.shape[0] - 1
-        v = (u[in_tail] - cum[-1]) / (1.0 - cum[-1])
+    tail = far[~inner]
+    if tail.size:
+        edge = params.x_min + _BLOCK * ends.shape[0] - 1
+        v = (u[tail] - ends[-1]) / (1.0 - ends[-1])
         # conditional survival beyond edge approximated by the continuous
         # power law through the half-integer boundary
         draw = (edge + 0.5) * (1.0 - v) ** (-1.0 / (params.alpha - 1.0))
         draw = np.floor(draw + 0.5)
         # largest float64 below 2**63, so the int64 cast cannot overflow
         draw = np.clip(draw, edge + 1, np.nextafter(float(_INT64_MAX), 0.0))
-        out[in_tail] = draw.astype(np.int64)
+        out[tail] = draw.astype(np.int64)
     return out

@@ -1,27 +1,30 @@
+import functools
+
 import pytest
 
 from tailmix import dists
 
 
 @pytest.fixture(autouse=True)
-def _no_kept_pareto_table():
-    """Every test starts, and leaves, without a kept sampling table, so
-    no test draws from or counts builds against another test's table."""
-    dists._kept_table.clear()
+def _no_kept_pareto_checkpoints():
+    """Every test starts, and leaves, with an empty checkpoint store, so
+    no test draws from or counts builds against another test's keys."""
+    dists._pareto_checkpoints.cache_clear()
     yield
-    dists._kept_table.clear()
+    dists._pareto_checkpoints.cache_clear()
 
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """Every sampling-table build from here on, as (alpha, x_min, the
-    number of tables kept when the build started)."""
+    """Every checkpoint build from here on, as (alpha, x_min), through a
+    fresh store of the same size."""
     builds = []
-    build = dists._build_pareto_table
+    build = dists._pareto_checkpoints.__wrapped__
 
-    def counted(params):
-        builds.append((params.alpha, params.x_min, len(dists._kept_table)))
-        return build(params)
+    @functools.lru_cache(maxsize=dists._KEPT_KEYS)
+    def counted(alpha, x_min):
+        builds.append((alpha, x_min))
+        return build(alpha, x_min)
 
-    monkeypatch.setattr(dists, "_build_pareto_table", counted)
+    monkeypatch.setattr(dists, "_pareto_checkpoints", counted)
     return builds

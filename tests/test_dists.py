@@ -1,6 +1,7 @@
 """Component distributions: normalization, reference values, sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from tailmix.dists import (
 )
 from tailmix.errors import DomainError, UnsupportedOperationError
 from tailmix.mixture import MixtureParams, ModelSpec, component_log_pmfs
+from tailmix.seeding import substream
 
 
 def pareto_log_pmf(x, params: ParetoParams):
@@ -194,7 +196,7 @@ class TestSampling:
 
 def _pareto_table_rebuilt(params):
     """The sampling table rebuilt whole at every doubling: the
-    reference the in-place build must match bit for bit."""
+    reference the kept checkpoints and the draws must match bit for bit."""
     z = hurwitz_zeta(params.alpha, params.x_min)
     size = 1 << 10
     while True:
@@ -205,49 +207,153 @@ def _pareto_table_rebuilt(params):
         size <<= 1
 
 
+def _sample_from_full_table(params, u):
+    """Inverse-CDF draws for the uniforms u from the whole rebuilt table,
+    with the tail formula applied beyond its edge."""
+    cum = _pareto_table_rebuilt(params)
+    idx = np.searchsorted(cum, u, side="right")
+    out = params.x_min + idx.astype(np.int64)
+    in_tail = idx >= cum.shape[0]
+    if in_tail.any():
+        edge = params.x_min + cum.shape[0] - 1
+        v = (u[in_tail] - cum[-1]) / (1.0 - cum[-1])
+        draw = (edge + 0.5) * (1.0 - v) ** (-1.0 / (params.alpha - 1.0))
+        draw = np.floor(draw + 0.5)
+        draw = np.clip(draw, edge + 1, np.nextafter(float(np.iinfo(np.int64).max), 0.0))
+        out[in_tail] = draw.astype(np.int64)
+    return out
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose ``random`` returns the given uniforms."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+_GRID = [ParetoParams(alpha, x_min)
+         for alpha in (1.05, 1.2, 1.4, 1.6, 1.8, 2.0, 2.5, 3.5, 3.99)
+         for x_min in (1, 3)]
+
+
 class TestParetoTable:
     def test_in_place_build_equals_rebuild_bit_for_bit(self):
+        # the chunked build keeps the head and every block's last sum of
+        # the table that is rebuilt whole
         sizes = set()
         for alpha in (1.05, 1.2, 1.6, 2.0, 3.5, 3.99):
             for x_min in (1, 3):
-                p = ParetoParams(alpha, x_min)
-                want = _pareto_table_rebuilt(p)
-                got = dists._pareto_table(p)
-                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                want = _pareto_table_rebuilt(ParetoParams(alpha, x_min))
+                z, head, ends = dists._pareto_checkpoints(alpha, x_min)
+                assert z == hurwitz_zeta(alpha, x_min)
+                np.testing.assert_array_equal(
+                    head.view(np.int64), want[: dists._HEAD].view(np.int64))
+                np.testing.assert_array_equal(
+                    ends.view(np.int64),
+                    want[dists._BLOCK - 1 :: dists._BLOCK].view(np.int64))
+                assert ends.size * dists._BLOCK == want.size
                 sizes.add(want.size)
         # the grid stops early at three sizes and runs to the cap
         assert {1 << 13, 1 << 15, 1 << 16, dists._TABLE_MAX} <= sizes
 
-    def test_draws_equal_draws_from_rebuilt_table(self, monkeypatch):
-        # repeats hit the kept table, alternations rebuild it
-        a, b, c = ParetoParams(1.2), ParetoParams(2.0, 3), ParetoParams(3.99)
-        params = [a, a, b, a, b, b, c, a]
-        got = [sample_pareto(p, 50_000, seed=21 + i) for i, p in enumerate(params)]
-        monkeypatch.setattr(dists, "_pareto_table", _pareto_table_rebuilt)
-        for i, (p, xs) in enumerate(zip(params, got)):
-            np.testing.assert_array_equal(xs, sample_pareto(p, 50_000, seed=21 + i))
+    def test_stop_rule_between_build_chunks(self, monkeypatch):
+        # a mass target first met inside the third 64K chunk stops the
+        # table at the next power of two, as the doubling rebuild does
+        p = ParetoParams(2.0)
+        full = _pareto_table_rebuilt(p)
+        monkeypatch.setattr(dists, "_TABLE_MASS", full[(1 << 17) + 5000])
+        want = _pareto_table_rebuilt(p)
+        assert want.size == 1 << 18
+        _, head, ends = dists._pareto_checkpoints(2.0, 1)
+        assert ends.size * dists._BLOCK == want.size
+        u = substream(5).random(20_000)
+        u[:3] = [want[-1], np.nextafter(want[-1], 0.0), ends[-2]]
+        np.testing.assert_array_equal(
+            sample_pareto(p, u.size, _FixedDraws(u)), _sample_from_full_table(p, u))
+
+    def test_draws_equal_draws_from_rebuilt_table(self):
+        # interleaved with repeats: revisits draw from kept checkpoints
+        order = [i for rnd in range(2) for i in range(len(_GRID))]
+        order += [0, 0, 5, 0, 5, 5, 17]
+        for k, i in enumerate(order):
+            p = _GRID[i]
+            got = sample_pareto(p, 50_000, seed=21 + k)
+            u = substream(21 + k).random(50_000)
+            np.testing.assert_array_equal(got, _sample_from_full_table(p, u))
+
+    def test_draws_on_checkpoints_head_and_edge(self):
+        # sums repeat, where the masses fall below the rounding, at
+        # alpha 3.5 from x = 42,624 and at alpha 3.0, x_min 3 from 616,031
+        for p in (ParetoParams(1.2), ParetoParams(3.5), ParetoParams(3.0, 3),
+                  ParetoParams(3.99)):
+            cum = _pareto_table_rebuilt(p)
+            _, head, ends = dists._pareto_checkpoints(float(p.alpha), p.x_min)
+            picks = [head[-1], cum[-1], ends[0], ends[-1], 0.0,
+                     np.nextafter(head[-1], 0.0), np.nextafter(head[-1], 1.0),
+                     np.nextafter(cum[-1], 0.0), np.nextafter(cum[-1], 1.0)]
+            picks += list(ends[:: max(ends.size // 40, 1)])
+            picks += [np.nextafter(c, 0.0) for c in ends[1::97]]
+            picks += [np.nextafter(c, 1.0) for c in ends[2::89]]
+            ties = np.flatnonzero(np.diff(cum) == 0)
+            picks += list(cum[ties[:: max(ties.size // 20, 1)]])
+            u = np.array(picks, dtype=np.float64)
+            got = sample_pareto(p, u.size, _FixedDraws(u))
+            np.testing.assert_array_equal(got, _sample_from_full_table(p, u))
+
+    def test_zero_draws(self):
+        for p in (ParetoParams(1.2), ParetoParams(3.99)):
+            xs = sample_pareto(p, 0, seed=1)
+            assert xs.dtype == np.int64
+            assert xs.shape == (0,)
 
 
 class TestKeptTable:
     def test_repeated_params_build_once(self, table_builds):
         p = ParetoParams(1.6)
-        first = dists._pareto_table(p)
         for seed in range(3):
             sample_pareto(p, 100, seed=seed)
-        # an alpha given as a 0-d array finds the same table
-        assert dists._pareto_table(ParetoParams(np.array(1.6), 1)) is first
-        assert table_builds == [(1.6, 1, 0)]
+        # an alpha given as a 0-d array finds the same key
+        sample_pareto(ParetoParams(np.array(1.6), 1), 100, seed=4)
+        assert table_builds == [(1.6, 1)]
 
-    def test_alternating_params_rebuild_from_an_empty_memo(self, table_builds):
+    def test_interleaved_params_build_once_per_key(self, table_builds):
         # x_min is part of the key as well as alpha
         seq = [ParetoParams(1.4), ParetoParams(1.8), ParetoParams(1.4),
-               ParetoParams(1.4, 2), ParetoParams(1.4)]
+               ParetoParams(1.4, 2), ParetoParams(1.4), ParetoParams(1.8),
+               ParetoParams(1.4, 2)]
         for i, p in enumerate(seq):
             sample_pareto(p, 100, seed=i)
-        assert table_builds == [(p.alpha, p.x_min, 0) for p in seq]
+        assert table_builds == [(1.4, 1), (1.8, 1), (1.4, 2)]
 
     def test_kept_table_is_read_only(self):
-        cum = dists._pareto_table(ParetoParams(2.5))
-        assert not cum.flags.writeable
-        with pytest.raises(ValueError):
-            cum[0] = 0.0
+        _, head, ends = dists._pareto_checkpoints(2.5, 1)
+        for kept in (head, ends):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
+
+    def test_store_is_bounded(self):
+        for i in range(dists._KEPT_KEYS + 8):
+            sample_pareto(ParetoParams(1.5 + 0.01 * i), 10, seed=i)
+        info = dists._pareto_checkpoints.cache_info()
+        assert info.maxsize == info.currsize == dists._KEPT_KEYS
+
+    def test_first_visit_peak_and_kept_size(self):
+        p = ParetoParams(1.2)
+        tracemalloc.start()
+        try:
+            sample_pareto(p, 5000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        for alpha, x_min in [(1.2, 1), (1.05, 3), (3.99, 1)]:
+            _, head, ends = dists._pareto_checkpoints(alpha, x_min)
+            # a short table's arrays are views: count what they hold alive
+            kept = [a if a.base is None else a.base for a in (head, ends)]
+            assert sum(a.nbytes for a in kept) <= 64 << 10

@@ -1,5 +1,6 @@
 """Hill baseline, presets, and the experiment runners."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -204,7 +205,8 @@ class TestReplicatesFitTogether:
 
 
 class TestSamplingTableBuilds:
-    """Replicates at one power tail draw from one kept sampling table."""
+    """Replicates at one power tail draw from one kept set of sampling
+    checkpoints."""
 
     def test_selection_rows_at_one_alpha_build_one_table(self, table_builds):
         from tailmix.experiments import _EP_TRUTH, _P_TRUTH, SelectionRow
@@ -219,11 +221,74 @@ class TestSamplingTableBuilds:
             restarts=2,
         )
         run_selection_strength(plan, seed=5)
-        assert table_builds == [(1.6, 1, 0)]
+        assert table_builds == [(1.6, 1)]
 
     def test_recovery_grid_builds_one_table_per_alpha(self, table_builds):
         plan = RecoveryPlan(
             "mini", alphas=(1.4, 1.8), n_samples=600, n_replicates=3, restarts=2
         )
         run_alpha_recovery(plan, seed=5)
-        assert table_builds == [(1.4, 1, 0), (1.8, 1, 0)]
+        assert table_builds == [(1.4, 1), (1.8, 1)]
+
+
+# SHA-256 of the preset samples, the int64 draws of each grid point or
+# row concatenated over its replicates, as the sampler drew them when
+# the Pareto table was held whole. A sampler change that moves one bit
+# of any draw changes these.
+_FIG2_DESK_DIGESTS = {
+    1.2: "7c8a1fe0bba216ca8c845fdd8bffeb0e561409d5fa62e8f30a0bcf7767cba25d",
+    1.4: "b59d7c3a2c4e24016069e873d7b6b008ca7ef26b315b247126b92c769d3a2711",
+    1.6: "7311e92abd1be246f26e46a7bfc51d7de13b465970584235d3b0b1b41bc6cfc1",
+    1.8: "23ff009f0bcff9a8f0e20fc7169429c5e50d44239bf6780829b85ac918b93e1c",
+    2.0: "3b44909d708ec4488c6cd9f032bf92ce09b611c005533cf778a808956fbd50d3",
+}
+_TABLE2_DESK_DIGESTS = {
+    "ep-truth-n1000": "d76094cc23873b8a3ff36d11550e4045e99c2c4561a8eabea895f2050a9043fd",
+    "ep-truth-n5000": "1a5d3653a48514b9a71838aa13773207980c4e86d87cdad3d758aed18ff3055f",
+    "ep-truth-eep-n1000": "5de35bdfcd471e9dc997e94db2bf91878ae3e7eb247ec13f5df2e248ca583b8a",
+    "ep-truth-eep-n10000": "1bed0c9f801ebcbc8da3c39efed4b4d6ce3a5c27337f10d39b0a136b88af0785",
+    "eep-truth-n9000": "1125e129b512ddbfe775eb234d53687d471db3e72bd02e6946d678a9af8f98ce",
+    "p-truth-n5000": "4767c1bd823fca01bc0da419f18552692b8329a7132a438c30d34a0e74a3ea7d",
+}
+
+
+class TestFrozenSamplerDigests:
+    """The presets' samples, drawn as their runners draw them, are frozen."""
+
+    def test_fig2_desk_samples(self):
+        from tailmix.experiments import _DATA_STREAM
+        from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
+        from tailmix.seeding import DEFAULT_SEED
+
+        plan = PRESETS["fig2-desk"]
+        spec = ModelSpec(1, x_min=plan.x_min)
+        # grid points interleaved by replicate, so that each revisit
+        # draws from kept checkpoints
+        digests = {alpha: hashlib.sha256() for alpha in plan.alphas}
+        for rep in range(plan.n_replicates):
+            for gi, alpha in enumerate(plan.alphas):
+                rng = substream(DEFAULT_SEED, gi, rep, _DATA_STREAM)
+                lam = float(rng.uniform(*plan.lambda_range))
+                truth = MixtureParams(
+                    (plan.mix_weight, 1.0 - plan.mix_weight), (lam,), alpha)
+                xs = sample_mixture(spec, truth, plan.n_samples, rng)
+                digests[alpha].update(xs.astype("<i8").tobytes())
+        got = {alpha: h.hexdigest() for alpha, h in digests.items()}
+        assert got == _FIG2_DESK_DIGESTS
+
+    def test_table2_desk_samples(self):
+        from tailmix.experiments import _DATA_STREAM, _spec_for
+        from tailmix.mixture import sample_mixture
+        from tailmix.seeding import DEFAULT_SEED
+
+        plan = PRESETS["table2-desk"]
+        got = {}
+        for ri, row in enumerate(plan.rows):
+            h = hashlib.sha256()
+            for rep in range(plan.n_replicates):
+                xs = sample_mixture(
+                    _spec_for(row.truth_label, plan.x_min), row.truth_params,
+                    row.n_samples, substream(DEFAULT_SEED, ri, rep, _DATA_STREAM))
+                h.update(xs.astype("<i8").tobytes())
+            got[row.row_id] = h.hexdigest()
+        assert got == _TABLE2_DESK_DIGESTS
