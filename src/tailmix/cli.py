@@ -26,6 +26,7 @@ from .fit import FitConfig
 from .ingest import (
     STANDARD_WINDOWS,
     bin_at_windows,
+    check_windows,
     read_flow_file,
     read_series_file,
     read_uptime_file,
@@ -99,10 +100,11 @@ def _fit_flags(parser):
 
 def _cmd_bin(args):
     started = time.time()
+    windows = _parse_numbers(args.windows) if args.windows else STANDARD_WINDOWS
+    check_windows(windows)
     flow_path = Path(args.input)
     times = read_flow_file(flow_path)
     uptime = read_uptime_file(args.uptime) if args.uptime else None
-    windows = _parse_numbers(args.windows) if args.windows else STANDARD_WINDOWS
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     series_map = bin_at_windows(

@@ -9,7 +9,10 @@ loop's on every input. Counting uses half-open windows
 window containing the first flow. An optional uptime sidecar restricts
 counting to bins that lie wholly inside a measured interval. A ladder of
 doubling windows is counted in one pass over the flows, at its smallest
-window; each larger window sums pairs of bins of the one below.
+window; each larger window sums pairs of bins of the one below. The pass
+walks the start times in fixed-size chunks through two reused buffers,
+so binning holds the start-time array, the counts and about 1 MB more,
+however many flows there are.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ from .mixture import BinnedSeries
 
 # Doubling ladder of window sizes used throughout, in seconds.
 STANDARD_WINDOWS = (4, 8, 16, 32, 64, 128, 256, 512)
+
+# Start times per chunk of a counting pass: the float64 and int64 chunk
+# buffers take 512 KB each.
+_CHUNK = 1 << 16
 
 
 def _read_header(fh, path):
@@ -170,21 +177,19 @@ def bin_at_windows(
     times = np.asarray(start_times, dtype=np.float64)
     if times.size == 0:
         raise DataError("no flow start times")
-    if not np.isfinite(times).all():
-        raise DataError("start times must be finite")
-    for w in windows:
-        if not (w > 0):
-            raise DataError(f"window_seconds must be positive, got {w}")
-    spans = None if uptime is None else _sorted_spans(uptime)
+    # min and max carry any NaN or infinity, so no full-length mask is needed
     lo, hi = float(times.min()), float(times.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DataError("start times must be finite")
+    check_windows(windows)
+    spans = None if uptime is None else _sorted_spans(uptime)
     series = {}
     below = None  # (window, k0, counts) of the last window counted
     for w in sorted({float(w) for w in windows}):
         if below is not None and below[0] == w / 2 and _doubling_exact(times, lo, hi, w):
             k0, counts = _pair_sums(*below[1:])
         else:
-            k0 = math.floor(lo / w)
-            counts = np.bincount(np.floor(times / w).astype(np.int64) - k0)
+            k0, counts = _count(times, lo, hi, w)
         below = (w, k0, counts)
         series[w] = _filtered(counts, k0, w, times.size, spans, drop_zeros, source_id)
     return {w: series[float(w)] for w in windows}
@@ -197,7 +202,47 @@ def _doubling_exact(times, lo, hi, w) -> bool:
     can round it to -0.0."""
     if max(-lo, hi) / w >= 2.0**61:
         return False
-    return lo >= 0.0 or -float(times[times < 0.0].max()) / w >= np.finfo(float).tiny
+    if lo >= 0.0:
+        return True
+    top = max(float(np.max(c, where=c < 0.0, initial=-np.inf)) for c in _chunks(times))
+    return -top / w >= np.finfo(float).tiny
+
+
+def check_windows(windows):
+    """Raise DataError unless every window size is positive and finite."""
+    for w in windows:
+        if not (0 < w < math.inf):
+            raise DataError(f"window_seconds must be positive and finite, got {w}")
+
+
+def _chunks(times):
+    """Consecutive views of at most _CHUNK start times, covering all."""
+    return (times[i : i + _CHUNK] for i in range(0, times.size, _CHUNK))
+
+
+def _count(times, lo, hi, w):
+    """(k0, counts) at window w: counts[k] holds the flows with
+    floor(t / w) == k0 + k, for k0 = floor(lo / w) through floor(hi / w).
+
+    Each chunk goes through the same divide, floor and int64 cast as a
+    whole-array count would, so every index has the same bits, and is
+    counted over its own index span only: a chunk costs O(chunk + span),
+    however many bins the window has.
+    """
+    k0 = math.floor(lo / w)
+    counts = np.zeros(math.floor(hi / w) - k0 + 1, dtype=np.int64)
+    q = np.empty(min(_CHUNK, times.size))
+    k = np.empty(q.size, dtype=np.int64)
+    for c in _chunks(times):
+        qc, kc = q[: c.size], k[: c.size]
+        np.divide(c, w, out=qc)
+        np.floor(qc, out=qc)
+        np.copyto(kc, qc, casting="unsafe")
+        first = int(kc.min())
+        kc -= first
+        part = np.bincount(kc)
+        counts[first - k0 : first - k0 + part.size] += part
+    return k0, counts
 
 
 def _pair_sums(k0, counts):

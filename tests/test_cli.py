@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailmix import __version__
+from tailmix import __version__, cli
 from tailmix.cli import main
 from tailmix.errors import FitError
 from tailmix.experiments import PRESETS, RecoveryPlan
@@ -92,6 +92,20 @@ class TestBinCommand:
         rc = main(["bin", "--input", str(tmp_path / "nope.csv")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("windows", ["inf", "8,inf", "0"])
+    def test_bin_bad_windows_fail_before_reading(self, flow_file, tmp_path,
+                                                 capsys, monkeypatch, windows):
+        def no_read(path):
+            raise AssertionError("read the flow file")
+
+        monkeypatch.setattr(cli, "read_flow_file", no_read)
+        out = tmp_path / "out"
+        rc = main(["bin", "--input", str(flow_file), "--windows", windows,
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture()

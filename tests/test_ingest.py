@@ -3,11 +3,12 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tailmix import ingest
@@ -46,6 +47,41 @@ def oracle_bin(times, w, uptime=None, drop_zeros=True):
             continue
         out.append(c)
     return out, dropped_uptime, dropped_zeros
+
+
+def check_random_traces():
+    """bin_flows against the oracle on 60 random traces and windows."""
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n = int(rng.integers(3, 150))
+        scale = float(rng.uniform(10, 2000))
+        times = rng.uniform(-scale / 5, scale, size=n)
+        w = float(rng.choice(STANDARD_WINDOWS))
+        drop = bool(rng.integers(0, 2))
+        uptime = None
+        if rng.integers(0, 2):
+            lo = float(times.min()) + rng.uniform(0, scale / 4)
+            hi = lo + rng.uniform(scale / 4, scale)
+            uptime = [(lo, hi)]
+        s = bin_flows(times, w, uptime=uptime, drop_zeros=drop)
+        ref, drop_up, drop_z = oracle_bin(times, w, uptime, drop)
+        np.testing.assert_array_equal(s.counts, ref)
+        assert s.meta["n_bins_dropped_uptime"] == drop_up
+        assert s.meta["n_zero_bins_dropped"] == drop_z
+
+
+def check_halving_underflow():
+    """A ladder where halving a quotient leaves the normal range."""
+    # -2**-1072 / 4 is the smallest subnormal, in bin -1, but
+    # -2**-1072 / 8 rounds to -0.0, in bin 0: no pair sum gives that
+    times = [-(2.0**-1072), 3.0, 9.5]
+    assert math.floor(times[0] / 4) == -1 and math.floor(times[0] / 8) == 0
+    series = bin_at_windows(times, (4, 8), drop_zeros=False)
+    for w, s in series.items():
+        alone = bin_flows(times, w, drop_zeros=False)
+        np.testing.assert_array_equal(s.counts, alone.counts)
+        assert s.meta == alone.meta
+    assert series[8].counts.tolist() == [2, 1]
 
 
 class TestBinFlows:
@@ -102,23 +138,7 @@ class TestBinFlows:
             bin_flows([1.0], 0)
 
     def test_matches_oracle_on_random_traces(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(60):
-            n = int(rng.integers(3, 150))
-            scale = float(rng.uniform(10, 2000))
-            times = rng.uniform(-scale / 5, scale, size=n)
-            w = float(rng.choice(STANDARD_WINDOWS))
-            drop = bool(rng.integers(0, 2))
-            uptime = None
-            if rng.integers(0, 2):
-                lo = float(times.min()) + rng.uniform(0, scale / 4)
-                hi = lo + rng.uniform(scale / 4, scale)
-                uptime = [(lo, hi)]
-            s = bin_flows(times, w, uptime=uptime, drop_zeros=drop)
-            ref, drop_up, drop_z = oracle_bin(times, w, uptime, drop)
-            np.testing.assert_array_equal(s.counts, ref)
-            assert s.meta["n_bins_dropped_uptime"] == drop_up
-            assert s.meta["n_zero_bins_dropped"] == drop_z
+        check_random_traces()
 
 
 class TestWindowLadder:
@@ -135,16 +155,28 @@ class TestWindowLadder:
             assert s.counts.sum() == 400  # no uptime and all bins spanned
 
     def test_ladder_keeps_per_window_bins_where_halving_underflows(self):
-        # -2**-1072 / 4 is the smallest subnormal, in bin -1, but
-        # -2**-1072 / 8 rounds to -0.0, in bin 0: no pair sum gives that
-        times = [-(2.0**-1072), 3.0, 9.5]
-        assert math.floor(times[0] / 4) == -1 and math.floor(times[0] / 8) == 0
-        series = bin_at_windows(times, (4, 8), drop_zeros=False)
-        for w, s in series.items():
-            alone = bin_flows(times, w, drop_zeros=False)
-            np.testing.assert_array_equal(s.counts, alone.counts)
-            assert s.meta == alone.meta
-        assert series[8].counts.tolist() == [2, 1]
+        check_halving_underflow()
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_window_must_be_positive_and_finite(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="positive and finite"):
+                bin_at_windows([1.0, 5.0, 9.0], (4, w), uptime=[(0.0, 16.0)])
+
+    def test_binning_peak_memory(self):
+        # the counts and two chunk buffers, not full-length temporaries
+        # (a whole-array count peaked at 15.3 MB here)
+        times = np.random.default_rng(11).uniform(0, 86400, size=1_000_000)
+        for shift in (0.0, -43200.0):
+            shifted = times + shift
+            tracemalloc.start()
+            try:
+                bin_at_windows(shifted, STANDARD_WINDOWS)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20, (shift, peak)
 
 
 class TestFlowFile:
@@ -374,6 +406,40 @@ def _outcome(fn, *args):
         return "error", str(exc)
 
 
+BIN_CASES = given(
+    times=st.lists(st.floats(-1000, 10000, allow_nan=False), min_size=1,
+                   max_size=200),
+    w=st.sampled_from((0.5, 1.5) + STANDARD_WINDOWS),
+    drop=st.booleans(),
+    spans=st.lists(st.tuples(st.floats(-1000, 10000), st.floats(0.5, 5000)),
+                   max_size=3),
+    with_uptime=st.booleans(),
+)
+
+
+def check_bin_flows_equals_dict_oracle(times, w, drop, spans, with_uptime):
+    uptime = [(b, b + d) for b, d in spans] if with_uptime else None
+    s = bin_flows(times, w, uptime=uptime, drop_zeros=drop)
+    ref, drop_up, drop_z = oracle_bin(times, w, uptime, drop)
+    np.testing.assert_array_equal(s.counts, np.array(ref, dtype=np.int64))
+    assert s.meta["n_bins_dropped_uptime"] == drop_up
+    assert s.meta["n_zero_bins_dropped"] == drop_z
+    assert s.meta["n_flows"] == len(times)
+    # a ladder of doublings, out of order and with a window off the
+    # ladder, binned together: each equals the oracle and bin_flows
+    ladder = (4 * w, w, 8 * w, 3 * w, 2 * w)
+    series = bin_at_windows(times, ladder, uptime=uptime, drop_zeros=drop)
+    assert list(series) == list(ladder)
+    for v, got in series.items():
+        ref, drop_up, drop_z = oracle_bin(times, v, uptime, drop)
+        np.testing.assert_array_equal(got.counts, np.array(ref, dtype=np.int64))
+        assert got.meta["n_bins_dropped_uptime"] == drop_up
+        assert got.meta["n_zero_bins_dropped"] == drop_z
+        alone = bin_flows(times, v, uptime=uptime, drop_zeros=drop)
+        assert got.meta == alone.meta
+        assert got.bin_seconds == alone.bin_seconds == v
+
+
 class TestProperties:
     @PROPERTY_SETTINGS
     @given(flow_texts())
@@ -435,34 +501,52 @@ class TestProperties:
             assert _outcome(lambda: read_series_file(path).counts.tolist()) == want
 
     @PROPERTY_SETTINGS
-    @given(
-        times=st.lists(st.floats(-1000, 10000, allow_nan=False), min_size=1,
-                       max_size=200),
-        w=st.sampled_from((0.5, 1.5) + STANDARD_WINDOWS),
-        drop=st.booleans(),
-        spans=st.lists(st.tuples(st.floats(-1000, 10000), st.floats(0.5, 5000)),
-                       max_size=3),
-        with_uptime=st.booleans(),
-    )
+    @BIN_CASES
     def test_bin_flows_equals_dict_oracle(self, times, w, drop, spans,
                                           with_uptime):
-        uptime = [(b, b + d) for b, d in spans] if with_uptime else None
-        s = bin_flows(times, w, uptime=uptime, drop_zeros=drop)
-        ref, drop_up, drop_z = oracle_bin(times, w, uptime, drop)
-        np.testing.assert_array_equal(s.counts, np.array(ref, dtype=np.int64))
-        assert s.meta["n_bins_dropped_uptime"] == drop_up
-        assert s.meta["n_zero_bins_dropped"] == drop_z
-        assert s.meta["n_flows"] == len(times)
-        # a ladder of doublings, out of order and with a window off the
-        # ladder, binned together: each equals the oracle and bin_flows
-        ladder = (4 * w, w, 8 * w, 3 * w, 2 * w)
-        series = bin_at_windows(times, ladder, uptime=uptime, drop_zeros=drop)
-        assert list(series) == list(ladder)
-        for v, got in series.items():
-            ref, drop_up, drop_z = oracle_bin(times, v, uptime, drop)
-            np.testing.assert_array_equal(got.counts, np.array(ref, dtype=np.int64))
-            assert got.meta["n_bins_dropped_uptime"] == drop_up
-            assert got.meta["n_zero_bins_dropped"] == drop_z
-            alone = bin_flows(times, v, uptime=uptime, drop_zeros=drop)
-            assert got.meta == alone.meta
-            assert got.bin_seconds == alone.bin_seconds == v
+        check_bin_flows_equals_dict_oracle(times, w, drop, spans, with_uptime)
+
+
+@pytest.fixture(params=[1, 3, 7])
+def small_chunks(request, monkeypatch):
+    """Count in chunks of 1, 3 or 7 start times, so flows straddle chunk
+    edges and most bins take counts from several chunks."""
+    monkeypatch.setattr(ingest, "_CHUNK", request.param)
+    return request.param
+
+
+class TestChunkEdges:
+    """The binning tests again, with chunks far smaller than the input."""
+
+    def test_matches_oracle_on_random_traces(self, small_chunks):
+        check_random_traces()
+
+    def test_ladder_keeps_per_window_bins_where_halving_underflows(self, small_chunks):
+        check_halving_underflow()
+
+    # the chunk size is the same for every example, so the fixture's
+    # function scope is what this test wants
+    @settings(PROPERTY_SETTINGS,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @BIN_CASES
+    def test_bin_flows_equals_dict_oracle(self, small_chunks, times, w, drop,
+                                          spans, with_uptime):
+        check_bin_flows_equals_dict_oracle(times, w, drop, spans, with_uptime)
+
+    def test_underflow_search_reads_every_chunk(self, small_chunks):
+        # the negative time nearest 0, whose halving underflows, comes
+        # last, after a chunk that holds an ordinary negative time
+        times = [-5.0] + [1.0] * 6 + [-(2.0**-1072)]
+        series = bin_at_windows(times, (4, 8), drop_zeros=False)
+        for w, s in series.items():
+            ref, _, _ = oracle_bin(times, w, drop_zeros=False)
+            np.testing.assert_array_equal(s.counts, ref)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 4, 9])  # first, middle, last chunk
+    def test_non_finite_in_any_chunk(self, monkeypatch, value, where):
+        monkeypatch.setattr(ingest, "_CHUNK", 3)
+        times = np.arange(10, dtype=np.float64)
+        times[where] = value
+        with pytest.raises(DataError, match="^start times must be finite$"):
+            bin_at_windows(times, (4, 8, 12))
