@@ -23,7 +23,6 @@ from .errors import (
     EstimationError,
     FitError,
     TailmixError,
-    UnsupportedOperationError,
 )
 from .experiments import (
     PRESETS,
@@ -85,7 +84,6 @@ __all__ = [
     "STANDARD_WINDOWS",
     "Strength",
     "TailmixError",
-    "UnsupportedOperationError",
     "bic",
     "bin_at_windows",
     "bin_flows",

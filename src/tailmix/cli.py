@@ -92,9 +92,6 @@ def _fit_flags(parser):
                         help=f"root RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
     parser.add_argument("--threshold", type=float, default=10.0,
                         help="natural-log Bayes factor needed to grow the model")
-    parser.add_argument("--exp-mode", choices=("discrete", "paper-literal"),
-                        default="discrete",
-                        help="exponential component form")
     parser.add_argument("--x-min", type=int, default=1, help="support minimum")
 
 
@@ -105,12 +102,12 @@ def _cmd_bin(args):
     flow_path = Path(args.input)
     times = read_flow_file(flow_path)
     uptime = read_uptime_file(args.uptime) if args.uptime else None
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series_map = bin_at_windows(
         times, windows, uptime=uptime, drop_zeros=args.drop_zeros,
         source_id=flow_path.stem,
     )
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for w, series in series_map.items():
         name = f"{flow_path.stem}.w{w:g}.series"
@@ -133,8 +130,7 @@ def _cmd_bin(args):
 
 
 def _walk_args(args) -> dict:
-    return {"x_min": args.x_min, "exp_mode": args.exp_mode,
-            "threshold": args.threshold}
+    return {"x_min": args.x_min, "threshold": args.threshold}
 
 
 def _selection_report(kind, path, series, sel, args, config):
@@ -146,7 +142,7 @@ def _selection_report(kind, path, series, sel, args, config):
         config={
             "restarts": config.restarts,
             "threshold": args.threshold,
-            "exp_mode": args.exp_mode,
+            "exp_mode": "discrete",
             "x_min": args.x_min,
         },
         inputs=(describe_input(path),),
@@ -294,7 +290,7 @@ def _cmd_simulate(args):
             raise DataError(f"--weights is required for model {args.model}")
         weights = (1.0,)
     params = MixtureParams(weights=weights, lambdas=lambdas, alpha=args.alpha)
-    spec = ModelSpec(n_exp, x_min=args.x_min, exp_mode=args.exp_mode)
+    spec = ModelSpec(n_exp, x_min=args.x_min)
     seed = _resolve_seed(args.seed)
     sample = sample_mixture(spec, params, args.n, seed)
     out_dir = Path(args.out_dir)
@@ -314,7 +310,7 @@ def _cmd_simulate(args):
             "n": args.n,
             "bin_seconds": args.bin_seconds,
             "x_min": args.x_min,
-            "exp_mode": args.exp_mode,
+            "exp_mode": spec.exp_mode,
         },
     )
     results = {"file": out_path.name, "output": describe_input(out_path)}
@@ -407,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True, help="sample size")
     p_sim.add_argument("--bin-seconds", type=float, default=1.0)
     p_sim.add_argument("--x-min", type=int, default=1)
-    p_sim.add_argument("--exp-mode", choices=("discrete", "paper-literal"),
-                       default="discrete")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=None, help="output series file name")
     p_sim.add_argument("--out-dir", default=".", help="output directory")

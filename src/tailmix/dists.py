@@ -1,13 +1,11 @@
 """Component parameters, zeta wrappers and samplers on the integers x >= x_min.
 
 Two families: a discrete power law normalized by the Hurwitz zeta
-function, and a discrete exponential. The exponential has two modes:
-"discrete" renormalizes the geometric form so it sums to one on the
-support, "paper-literal" evaluates the unnormalized continuous density
-lam*exp(-lam*x) pointwise. The literal mode is not a probability mass
-function, so sampling under it is refused. The component densities are
-evaluated only by ``mixture.component_log_pmfs``, over the ``kernels``
-helpers that the fits use; the power-law sampler reads the same zeta.
+function, and a discrete exponential, the geometric pmf
+(1 - e^-lam) e^(-lam (x - x_min)), which sums to one on the support.
+The component densities are evaluated only by
+``mixture.component_log_pmfs``, over the ``kernels`` helpers that the
+fits use; the power-law sampler reads the same zeta.
 
 The power-law sampler inverts the cumulative pmf over up to 2^20 support
 values. That table is never held whole: per (alpha, x_min) it keeps the
@@ -26,15 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, UnsupportedOperationError
+from .errors import DomainError
 from .seeding import substream
 
 # Validation floors; alpha must exceed 1 by a real margin or the zeta
 # normalization diverges, and rates must be strictly positive.
 ALPHA_MIN = 1.0 + 1e-9
 RATE_MIN = 1e-12
-
-EXP_MODES = ("discrete", "paper-literal")
 
 # Power-law sampling controls: the cumulative pmf extends until this
 # much mass is covered, then the analytic tail takes the remainder.
@@ -89,15 +85,10 @@ class ExpParams:
     """Discrete exponential parameters. ``rate`` is the decay rate lambda."""
 
     rate: float
-    mode: str = "discrete"
 
     def __post_init__(self):
         if not (self.rate > RATE_MIN):
             raise DomainError(f"rate must exceed {RATE_MIN}, got {self.rate}")
-        if self.mode not in EXP_MODES:
-            raise DomainError(
-                f"mode must be one of {EXP_MODES}, got {self.mode!r}"
-            )
 
 
 def hurwitz_zeta(alpha: float, x_min: int = 1) -> float:
@@ -118,10 +109,6 @@ def hurwitz_zeta_dalpha(alpha: float, x_min: int = 1) -> float:
 
 def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:
     """Draw n values from the discrete exponential component."""
-    if params.mode == "paper-literal":
-        raise UnsupportedOperationError(
-            "paper-literal mode is unnormalized and cannot be sampled"
-        )
     x_min = _check_x_min(x_min)
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     p = -math.expm1(-params.rate)

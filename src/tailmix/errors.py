@@ -17,10 +17,6 @@ class ContractError(TailmixError):
     """Two objects that must agree do not (e.g. models fit on different data)."""
 
 
-class UnsupportedOperationError(TailmixError):
-    """The operation is undefined for the requested configuration."""
-
-
 class EstimationError(TailmixError):
     """A point estimator could not produce a finite estimate."""
 

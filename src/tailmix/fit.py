@@ -185,7 +185,6 @@ def _objective(fits, starts, spec):
     evaluation of a batch of one at that point, bit for bit. The barrier
     term is added by ``_barrier``.
     """
-    literal = spec.exp_mode == "paper-literal"
     x_min = float(spec.x_min)
     k = spec.n_exp
     jac = np.insert(np.eye(2 * k + 1), k, 0.0, axis=0)
@@ -207,7 +206,7 @@ def _objective(fits, starts, spec):
             z, dz, d2z = kernels.zeta_pair(alpha[lo:hi], x_min, second=True)
             parts.append(kernels.mix_loglik_grad(
                 values, log_values, mult, m[lo:hi], lam[lo:hi], alpha[lo:hi],
-                x_min, z, dz, literal, d2z=d2z,
+                x_min, z, dz, d2z=d2z,
             ))
         if len(parts) == 1:
             ll, g_m, g_lam, g_alpha, hess = parts[0]

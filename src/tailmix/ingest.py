@@ -34,6 +34,9 @@ STANDARD_WINDOWS = (4, 8, 16, 32, 64, 128, 256, 512)
 # Start times per chunk of a counting pass: the float64 and int64 chunk
 # buffers take 512 KB each.
 _CHUNK = 1 << 16
+# Most bins a counted window may span, first flow to last: its int64
+# counter then takes 256 MB.
+_MAX_BINS = 1 << 25
 
 
 def _read_header(fh, path):
@@ -172,8 +175,7 @@ def bin_at_windows(
     two ways that can fail (an index too large, a quotient too small).
     The uptime and zero-bin filters apply per window, after the sums.
     """
-    if not windows:
-        return {}
+    check_windows(windows)
     times = np.asarray(start_times, dtype=np.float64)
     if times.size == 0:
         raise DataError("no flow start times")
@@ -181,7 +183,6 @@ def bin_at_windows(
     lo, hi = float(times.min()), float(times.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DataError("start times must be finite")
-    check_windows(windows)
     spans = None if uptime is None else _sorted_spans(uptime)
     series = {}
     below = None  # (window, k0, counts) of the last window counted
@@ -209,10 +210,17 @@ def _doubling_exact(times, lo, hi, w) -> bool:
 
 
 def check_windows(windows):
-    """Raise DataError unless every window size is positive and finite."""
+    """Raise DataError unless there is at least one window size, and each
+    is positive, finite and given once."""
+    if len(windows) == 0:
+        raise DataError("no window sizes given")
+    seen = set()
     for w in windows:
         if not (0 < w < math.inf):
             raise DataError(f"window_seconds must be positive and finite, got {w}")
+        if float(w) in seen:
+            raise DataError(f"window size {w:g} is given more than once")
+        seen.add(float(w))
 
 
 def _chunks(times):
@@ -227,10 +235,18 @@ def _count(times, lo, hi, w):
     Each chunk goes through the same divide, floor and int64 cast as a
     whole-array count would, so every index has the same bits, and is
     counted over its own index span only: a chunk costs O(chunk + span),
-    however many bins the window has.
+    however many bins the window has. A window of more than _MAX_BINS
+    bins is a DataError, raised before the counter is allocated.
     """
-    k0 = math.floor(lo / w)
-    counts = np.zeros(math.floor(hi / w) - k0 + 1, dtype=np.int64)
+    first, last = lo / w, hi / w
+    # a quotient that overflows to infinity fails the test too
+    span = last - first
+    if not math.isfinite(span) or math.floor(last) - math.floor(first) >= _MAX_BINS:
+        raise DataError(
+            f"flows span {hi - lo:g} s, more than {_MAX_BINS} bins of {w:g} s"
+        )
+    k0 = math.floor(first)
+    counts = np.zeros(math.floor(last) - k0 + 1, dtype=np.int64)
     q = np.empty(min(_CHUNK, times.size))
     k = np.empty(q.size, dtype=np.int64)
     for c in _chunks(times):

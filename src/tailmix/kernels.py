@@ -5,10 +5,10 @@ derivative, and on request the second alpha derivative) and the mixture
 log-likelihood with its analytic gradient and, on request, its analytic
 Hessian, which the fit's Newton steps use.
 The mixture log-density is written once here: the log-amplitude of the
-exponential components, the weighted log term of each component, and
-their log-sum-exp. The kernel and the density functions in ``mixture``
-all evaluate it through these helpers; ``mixture.component_log_pmfs`` is
-the per-component density.
+exponential components (geometric pmfs, normalized on x >= x_min), the
+weighted log term of each component, and their log-sum-exp. The kernel
+and the density functions in ``mixture`` all evaluate it through these
+helpers; ``mixture.component_log_pmfs`` is the per-component density.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import DomainError
 
 # Name of the one numeric implementation, for benchmark environment records.
 ACTIVE_BACKEND = "numpy"
@@ -147,27 +149,16 @@ def zeta_pair(alpha, q, second=False):
     return out
 
 
-def exp_log_amp(lam, literal):
-    """Log-amplitude of each exponential component with rates ``lam``.
-
-    Discrete mode: log(1 - e^-lam), the geometric normalizer, computed
-    on whichever side of ln 2 keeps it accurate. Literal mode: log(lam),
-    the amplitude of the unnormalized continuous form lam*exp(-lam*x).
-    """
-    if literal:
-        return np.log(lam)
+def exp_log_amp(lam):
+    """Log-amplitude of each exponential component with rates ``lam``:
+    log(1 - e^-lam), the geometric normalizer, computed on whichever side
+    of ln 2 keeps it accurate."""
     return np.where(
         lam > LN_HALF_POINT, np.log1p(-np.exp(-lam)), np.log(-np.expm1(-lam))
     )
 
 
-def exp_offset(x, x_min, literal):
-    """Distance the exponential density decays over at x: x - x_min for
-    the discrete pmf, x itself for the literal form."""
-    return x if literal else x - x_min
-
-
-def component_logs(x, log_x, m, lam, alpha, x_min, z, literal):
+def component_logs(x, log_x, m, lam, alpha, x_min, z):
     """Weighted log density of each component at x, shape (..., k, len(x)).
 
     Components are ordered [exponential..., power tail]; ``m`` holds
@@ -180,8 +171,8 @@ def component_logs(x, log_x, m, lam, alpha, x_min, z, literal):
     alpha = np.asarray(alpha)
     n_exp = lam.shape[-1]
     logs = np.empty(alpha.shape + (n_exp + 1, x.shape[0]))
-    log_amp = exp_log_amp(lam, literal)
-    shifted = exp_offset(x, x_min, literal)
+    log_amp = exp_log_amp(lam)
+    shifted = x - x_min
     log_m = np.log(m)
     for e in range(n_exp):
         amp = log_m[..., e] + log_amp[..., e]
@@ -206,15 +197,17 @@ def _dot_wt(v, wt):
     return (v[..., None, :] @ wt)[..., 0]
 
 
-def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal, d2z=None):
+def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal=False,
+                    d2z=None):
     """Weighted mixture log-likelihood and gradient, and with ``d2z`` the
     Hessian.
 
     ``x`` holds the unique observed values, ``wt`` their multiplicities.
     ``z``/``dz``/``d2z`` are the zeta value and its first and second
-    alpha derivatives at (alpha, x_min). ``literal`` switches the
-    exponential density from the discretely normalized geometric form
-    to the unnormalized continuous form lam*exp(-lam*x).
+    alpha derivatives at (alpha, x_min). ``literal`` must be false: it
+    is kept only so that callers passing ten positional arguments keep
+    working, and a true value, which once asked for the unnormalized
+    form lam*exp(-lam*x), raises DomainError.
 
     Returns (loglik, grad_weights, grad_lambdas, grad_alpha); the weight
     gradient is taken with all weights free (no simplex projection).
@@ -225,9 +218,11 @@ def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal, d2z=None
     output gains the leading batch axis; row b equals the scalar call at
     point b bit for bit.
     """
+    if literal:
+        raise DomainError("the unnormalized exponential form was removed")
     n_exp = lam.shape[-1]
     dim = 2 * n_exp + 2
-    logs = component_logs(x, log_x, m, lam, alpha, x_min, z, literal)
+    logs = component_logs(x, log_x, m, lam, alpha, x_min, z)
     log_f = log_sum_exp(logs)
     logs -= log_f[..., None, :]
     # u_t holds one row per coordinate and one column per value: the
@@ -240,8 +235,8 @@ def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal, d2z=None
     ll = _dot_wt(log_f, wt)
     resp_wt = resp @ wt
     g_m = resp_wt / m
-    d_const = 1.0 / lam if literal else 1.0 / np.expm1(lam)
-    shifted = exp_offset(x, x_min, literal)
+    d_const = 1.0 / np.expm1(lam)
+    shifted = x - x_min
     dz_z = np.asarray(dz / z)
     score_sq = np.empty(resp_wt.shape)
     for e in range(n_exp + 1):
@@ -265,10 +260,7 @@ def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal, d2z=None
     # (d2 f)/f is nonzero only on a component's (weight, parameter)
     # entries, where it is resp * score / m, and on its (parameter,
     # parameter) entry, where it is resp * (score^2 + d score / d parameter).
-    if literal:
-        curv = -d_const * d_const
-    else:
-        curv = -d_const * (1.0 + d_const)
+    curv = -d_const * (1.0 + d_const)
     curv = np.concatenate([curv, (dz_z * dz_z - np.asarray(d2z / z))[..., None]], -1)
     hess = np.zeros(resp.shape[:-2] + (dim, dim))
     par = range(n_exp + 1, dim)

@@ -1,20 +1,23 @@
 """Mixture family over binned counts: P, EP, and EEP models.
 
 A model mixes n_exp discrete exponential components (n_exp in {0, 1, 2})
-with one discrete power-law tail on the integers x >= x_min. Component
-order everywhere is [exponentials..., power tail].
+with one discrete power-law tail on the integers x >= x_min. Each
+component is a pmf that sums to one on that support, so log-likelihoods,
+BICs and Bayes factors compare models as evidence. Component order
+everywhere is [exponentials..., power tail].
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dists, kernels
-from .dists import ALPHA_MIN, EXP_MODES, ExpParams, ParetoParams
-from .errors import ContractError, DataError, DomainError, UnsupportedOperationError
+from .dists import ALPHA_MIN, ExpParams, ParetoParams
+from .errors import ContractError, DataError, DomainError
 from .seeding import substream
 
 # Model labels, indexed by the number of exponential components
@@ -26,7 +29,11 @@ _SCAN_MAX = 1 << 34
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Structural description of a mixture: component counts and support."""
+    """Structural description of a mixture: component counts and support.
+
+    ``exp_mode`` names the exponential form for reports; "discrete" is
+    the only one.
+    """
 
     n_exp: int
     x_min: int = 1
@@ -36,10 +43,8 @@ class ModelSpec:
         if self.n_exp not in (0, 1, 2):
             raise DomainError(f"n_exp must be 0, 1 or 2, got {self.n_exp}")
         object.__setattr__(self, "x_min", dists._check_x_min(self.x_min))
-        if self.exp_mode not in EXP_MODES:
-            raise DomainError(
-                f"exp_mode must be one of {EXP_MODES}, got {self.exp_mode!r}"
-            )
+        if self.exp_mode != "discrete":
+            raise DomainError(f"exp_mode must be 'discrete', got {self.exp_mode!r}")
 
     @property
     def label(self) -> str:
@@ -121,8 +126,10 @@ class BinnedSeries:
             raise DataError(f"negative count {arr[idx]} at index {idx}")
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
-        if not (self.bin_seconds > 0):
-            raise DataError(f"bin_seconds must be positive, got {self.bin_seconds}")
+        if not (0 < self.bin_seconds < math.inf):
+            raise DataError(
+                f"bin_seconds must be positive and finite, got {self.bin_seconds}"
+            )
 
     @property
     def n(self) -> int:
@@ -150,7 +157,7 @@ def _component_logs(x, spec: ModelSpec, params: MixtureParams, m) -> np.ndarray:
     z = kernels.zeta_pair(params.alpha, float(spec.x_min))[0]
     return kernels.component_logs(
         arr, np.log(arr), m, params.as_arrays()[1], params.alpha,
-        float(spec.x_min), z, spec.exp_mode == "paper-literal",
+        float(spec.x_min), z,
     )
 
 
@@ -201,16 +208,8 @@ def log_likelihood(series, spec: ModelSpec, params: MixtureParams) -> float:
     m, lam = params.as_arrays()
     z, dz = kernels.zeta_pair(params.alpha, float(spec.x_min))
     ll, _, _, _ = kernels.mix_loglik_grad(
-        values,
-        np.log(values),
-        mult,
-        m,
-        lam,
-        params.alpha,
-        float(spec.x_min),
-        z,
-        dz,
-        spec.exp_mode == "paper-literal",
+        values, np.log(values), mult, m, lam, params.alpha, float(spec.x_min),
+        z, dz,
     )
     return float(ll)
 
@@ -243,10 +242,6 @@ def sample_mixture(spec: ModelSpec, params: MixtureParams, n: int, seed) -> np.n
     check_compat(spec, params)
     if n < 0:
         raise DomainError(f"sample size must be non-negative, got {n}")
-    if spec.exp_mode == "paper-literal" and spec.n_exp > 0:
-        raise UnsupportedOperationError(
-            "paper-literal mode is unnormalized and cannot be sampled"
-        )
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     labels = rng.choice(spec.n_components, size=n, p=np.asarray(params.weights))
     out = np.empty(n, dtype=np.int64)
@@ -255,7 +250,7 @@ def sample_mixture(spec: ModelSpec, params: MixtureParams, n: int, seed) -> np.n
         cnt = int(mask.sum())
         if cnt:
             out[mask] = dists.sample_exp(
-                ExpParams(rate, spec.exp_mode), cnt, rng, spec.x_min
+                ExpParams(rate), cnt, rng, spec.x_min
             )
     mask = labels == spec.n_exp
     cnt = int(mask.sum())

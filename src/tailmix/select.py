@@ -99,8 +99,7 @@ def _fit_each(series_list, spec, configs):
     return results
 
 
-def _walk(series_list, configs, fit_rung, x_min, exp_mode, threshold,
-          eep_always=False):
+def _walk(series_list, configs, fit_rung, x_min, threshold, eep_always=False):
     """The nested walk over many series, rung by rung.
 
     ``fit_rung(series_list, spec, configs)`` fits one model to several
@@ -114,7 +113,7 @@ def _walk(series_list, configs, fit_rung, x_min, exp_mode, threshold,
         raise DomainError(f"threshold must be positive, got {threshold}")
 
     def rung(n_exp, todo):
-        spec = ModelSpec(n_exp, x_min=x_min, exp_mode=exp_mode)
+        spec = ModelSpec(n_exp, x_min=x_min)
         fits = fit_rung([series_list[i] for i in todo], spec,
                         [configs[i] for i in todo])
         return dict(zip(todo, fits, strict=True))
@@ -157,7 +156,6 @@ def select_many(
     configs,
     *,
     x_min: int = 1,
-    exp_mode: str = "discrete",
     threshold: float = DEFAULT_THRESHOLD,
     eep_always: bool = False,
 ) -> list:
@@ -171,8 +169,7 @@ def select_many(
     fit runs, and its factor over EP is recorded, on every series whose
     EP fit worked, whether or not EP won; the choice is the walk's.
     """
-    return _walk(series_list, configs, fit_models, x_min, exp_mode, threshold,
-                 eep_always)
+    return _walk(series_list, configs, fit_models, x_min, threshold, eep_always)
 
 
 def select_nested(
@@ -180,7 +177,6 @@ def select_nested(
     config: FitConfig | None = None,
     *,
     x_min: int = 1,
-    exp_mode: str = "discrete",
     threshold: float = DEFAULT_THRESHOLD,
 ) -> SelectionResult:
     """Fit P and EP, then EEP only if EP already beats P decisively.
@@ -194,7 +190,7 @@ def select_nested(
     """
     if config is None:
         config = FitConfig()
-    (sel,) = _walk([series], [config], _fit_each, x_min, exp_mode, threshold)
+    (sel,) = _walk([series], [config], _fit_each, x_min, threshold)
     if isinstance(sel, TailmixError):
         raise sel
     return sel

@@ -93,9 +93,11 @@ class TestBinCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("windows", ["inf", "8,inf", "0"])
-    def test_bin_bad_windows_fail_before_reading(self, flow_file, tmp_path,
-                                                 capsys, monkeypatch, windows):
+    @staticmethod
+    def bin_error_before_reading(flow_file, tmp_path, capsys, monkeypatch,
+                                 windows):
+        """stderr of a bin run with these windows, which must exit 1
+        without reading the flow file or creating the out dir."""
         def no_read(path):
             raise AssertionError("read the flow file")
 
@@ -104,8 +106,48 @@ class TestBinCommand:
         rc = main(["bin", "--input", str(flow_file), "--windows", windows,
                    "--out-dir", str(out)])
         assert rc == 1
-        assert "positive and finite" in capsys.readouterr().err
         assert not out.exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("windows", ["inf", "8,inf", "0"])
+    def test_bin_bad_windows_fail_before_reading(self, flow_file, tmp_path,
+                                                 capsys, monkeypatch, windows):
+        err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
+                                            monkeypatch, windows)
+        assert "positive and finite" in err
+
+    @pytest.mark.parametrize("windows, message", [
+        ("8,8", "given more than once"),
+        ("4,8,16,8", "given more than once"),
+        (",", "no window sizes"),
+    ], ids=["repeated", "repeated-in-ladder", "none"])
+    def test_bin_repeated_or_no_windows_fail_before_reading(
+            self, flow_file, tmp_path, capsys, monkeypatch, windows, message):
+        err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
+                                            monkeypatch, windows)
+        assert message in err
+
+    def test_bin_span_past_the_bin_cap_writes_nothing(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("start_time\n0\n1e13\n")
+        out = tmp_path / "out"
+        rc = main(["bin", "--input", str(flows), "--windows", "4",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert "bins of 4 s" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["fit-select", "--input", "x.series"],
+    ["classify", "--input", "x.series"],
+    ["simulate", "--model", "P", "--alpha", "2", "--n", "10"],
+], ids=["fit-select", "classify", "simulate"])
+def test_exp_mode_flag_is_gone(args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--exp-mode", "discrete", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exp-mode" in capsys.readouterr().err
 
 
 @pytest.fixture()

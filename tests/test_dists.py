@@ -17,7 +17,7 @@ from tailmix.dists import (
     sample_exp,
     sample_pareto,
 )
-from tailmix.errors import DomainError, UnsupportedOperationError
+from tailmix.errors import DomainError
 from tailmix.mixture import MixtureParams, ModelSpec, component_log_pmfs
 from tailmix.seeding import substream
 
@@ -35,7 +35,7 @@ def pareto_pmf(x, params: ParetoParams):
 def exp_log_pmf(x, params: ExpParams, x_min: int = 1):
     """The exponential component's log density, from the one density path;
     the power tail beside it does not enter the first row."""
-    spec = ModelSpec(1, x_min=x_min, exp_mode=params.mode)
+    spec = ModelSpec(1, x_min=x_min)
     mix = MixtureParams((0.5, 0.5), (params.rate,), 2.0)
     return component_log_pmfs(x, spec, mix)[0]
 
@@ -92,8 +92,8 @@ class TestParamValidation:
             ExpParams(0.0)
         with pytest.raises(DomainError):
             ExpParams(-1.0)
-        with pytest.raises(DomainError):
-            ExpParams(0.3, mode="continuous")
+        with pytest.raises(TypeError):  # one exponential form, no mode field
+            ExpParams(0.3, mode="discrete")
 
 
 class TestPmfs:
@@ -112,14 +112,6 @@ class TestPmfs:
             head = exp_pmf(xs, e).sum()
             tail = math.exp(-rate * (5000 - 1))
             assert head + tail == pytest.approx(1.0, abs=1e-12)
-
-    def test_literal_mode_is_unnormalized(self):
-        e = ExpParams(1.0, mode="paper-literal")
-        xs = np.arange(1, 2000)
-        total = exp_pmf(xs, e).sum()
-        expected = math.exp(-1.0) / (1.0 - math.exp(-1.0))
-        assert total == pytest.approx(expected, abs=1e-12)
-        assert total != pytest.approx(1.0, abs=1e-3)
 
     def test_support_validation(self):
         with pytest.raises(DomainError):
@@ -156,8 +148,11 @@ class TestSampling:
         assert a.min() >= 5
 
     def test_literal_sampling_refused(self):
-        with pytest.raises(UnsupportedOperationError):
-            sample_exp(ExpParams(0.4, mode="paper-literal"), 10, seed=0)
+        # the unnormalized form has no sampler, and nothing can ask for it
+        with pytest.raises(TypeError):
+            ExpParams(0.4, mode="paper-literal")
+        with pytest.raises(TypeError):
+            sample_exp(ExpParams(0.4), 10, seed=0, mode="paper-literal")
 
     def test_pareto_sampling_matches_pmf_at_small_values(self):
         p = ParetoParams(1.8)

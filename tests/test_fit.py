@@ -118,13 +118,6 @@ class TestGradients:
                 theta = random_init(spec, substream(55, spec.n_exp, r))
                 self.fd_check(spec, theta, values, mult)
 
-    def test_literal_mode_gradient(self):
-        spec = ModelSpec(1, exp_mode="paper-literal")
-        values = np.array([1.0, 2.0, 3.0, 8.0, 50.0])
-        mult = np.array([5.0, 3.0, 2.0, 1.0, 1.0])
-        theta = np.array([0.6, 0.7, 2.1])
-        self.fd_check(spec, theta, values, mult)
-
 
 class TestFitModel:
     def test_recovers_ep_parameters(self):
@@ -253,7 +246,8 @@ class TestFitModel:
         assert fm.diagnostics["restart_chosen"] == 0
 
     @pytest.mark.parametrize("x_min", [1, 3])
-    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    # the one exponential form, passed through ModelSpec's kept field
+    @pytest.mark.parametrize("exp_mode", ["discrete"])
     @pytest.mark.parametrize("n_exp", [0, 1, 2])
     def test_objective_sees_only_feasible_points(self, n_exp, exp_mode, x_min,
                                                  monkeypatch):
@@ -291,7 +285,8 @@ class TestLockstep:
     """All restarts run together equal each restart run alone, bit for bit."""
 
     @pytest.mark.parametrize("x_min", [1, 3])
-    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    # the one exponential form, passed through ModelSpec's kept field
+    @pytest.mark.parametrize("exp_mode", ["discrete"])
     @pytest.mark.parametrize("n_exp", [0, 1, 2])
     def test_rows_equal_restarts_run_alone(self, n_exp, exp_mode, x_min):
         truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
@@ -317,7 +312,8 @@ class TestLockstep:
             assert batch[7][r] is None and alone[7][0] is None
 
     @pytest.mark.parametrize("x_min", [1, 3])
-    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    # the one exponential form, passed through ModelSpec's kept field
+    @pytest.mark.parametrize("exp_mode", ["discrete"])
     @pytest.mark.parametrize("n_exp", [0, 1, 2])
     def test_fit_models_equal_fits_run_alone(self, n_exp, exp_mode, x_min):
         # series of different sizes, seeds and restart counts, with a

@@ -164,6 +164,29 @@ class TestWindowLadder:
             with pytest.raises(DataError, match="positive and finite"):
                 bin_at_windows([1.0, 5.0, 9.0], (4, w), uptime=[(0.0, 16.0)])
 
+    @pytest.mark.parametrize("windows, message", [
+        ((8, 8), "window size 8 is given more than once"),
+        ((4, 8.0, 16, 8), "window size 8 is given more than once"),
+        ((), "no window sizes given"),
+    ], ids=["repeated", "repeated-in-ladder", "none"])
+    def test_windows_must_be_given_once(self, windows, message):
+        with pytest.raises(DataError, match=message):
+            bin_at_windows([1.0, 5.0, 9.0], windows)
+
+    def test_span_past_the_bin_cap_is_a_data_error(self, monkeypatch):
+        # a dense counter for this span would need 18.2 TiB
+        with pytest.raises(DataError, match=r"span 1e\+13 s, more than \d+ bins of 4 s"):
+            bin_at_windows([0.0, 1e13], (4,))
+        # overflowing quotients fail the same check
+        with pytest.raises(DataError, match="more than"):
+            bin_at_windows([-1e308, 1e308], (1e-300,))
+        monkeypatch.setattr(ingest, "_MAX_BINS", 8)
+        assert bin_at_windows([-4.0, 27.9], (4, 8))[4].meta["n_bins_spanned"] == 8
+        with pytest.raises(DataError, match="span 32 s, more than 8 bins of 4 s"):
+            bin_at_windows([-4.0, 28.0], (4, 8))
+        with pytest.raises(DataError, match="bins of 3 s"):
+            bin_at_windows([0.0, 27.0], (3, 6))
+
     def test_binning_peak_memory(self):
         # the counts and two chunk buffers, not full-length temporaries
         # (a whole-array count peaked at 15.3 MB here)
@@ -330,6 +353,12 @@ class TestSeriesFile:
             read_series_file(p)
         p.write_text('#{"bin_seconds": 4, "source_id": "a", "n": 3}\n1\n2\n')
         with pytest.raises(DataError, match="n=3"):
+            read_series_file(p)
+
+    def test_infinite_bin_seconds_rejected(self, tmp_path):
+        p = tmp_path / "x.series"
+        p.write_text('#{"bin_seconds": Infinity, "source_id": "a", "n": 1}\n1\n')
+        with pytest.raises(DataError, match="positive and finite"):
             read_series_file(p)
 
     def test_bad_count_line(self, tmp_path):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from tailmix import kernels
+from tailmix.errors import DomainError
 from tailmix.seeding import substream
 
 
-def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
+def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz):
     """Scalar-loop reference for :func:`kernels.mix_loglik_grad`.
 
     Same arguments and return value; one value and one component at a
@@ -25,15 +26,11 @@ def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
     d_const = np.empty(n_exp)
     for e in range(n_exp):
         lv = lam[e]
-        if literal:
-            log_amp[e] = math.log(lv)
-            d_const[e] = 1.0 / lv
+        if lv > kernels.LN_HALF_POINT:
+            log_amp[e] = math.log1p(-math.exp(-lv))
         else:
-            if lv > kernels.LN_HALF_POINT:
-                log_amp[e] = math.log1p(-math.exp(-lv))
-            else:
-                log_amp[e] = math.log(-math.expm1(-lv))
-            d_const[e] = 1.0 / math.expm1(lv)
+            log_amp[e] = math.log(-math.expm1(-lv))
+        d_const[e] = 1.0 / math.expm1(lv)
     ln_z = math.log(z)
     dz_over_z = dz / z
     ll = 0.0
@@ -45,10 +42,7 @@ def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
         xv = x[i]
         mx = -np.inf
         for e in range(n_exp):
-            if literal:
-                t = log_m[e] + log_amp[e] - lam[e] * xv
-            else:
-                t = log_m[e] + log_amp[e] - lam[e] * (xv - x_min)
+            t = log_m[e] + log_amp[e] - lam[e] * (xv - x_min)
             logs[e] = t
             if t > mx:
                 mx = t
@@ -65,10 +59,7 @@ def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
         for e in range(n_exp):
             r = math.exp(logs[e] - log_f)
             g_m[e] += w * r / m[e]
-            if literal:
-                g_lam[e] += w * r * (d_const[e] - xv)
-            else:
-                g_lam[e] += w * r * (d_const[e] - (xv - x_min))
+            g_lam[e] += w * r * (d_const[e] - (xv - x_min))
         r = math.exp(logs[k - 1] - log_f)
         g_m[k - 1] += w * r / m[k - 1]
         g_alpha += w * r * (-log_x[i] - dz_over_z)
@@ -78,36 +69,46 @@ def mix_loglik_grad_oracle(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal):
 def test_mix_loglik_matches_scalar_oracle_on_random_inputs():
     rng = substream(321)
     for n_exp in (0, 1, 2):
-        for literal in (False, True):
-            values = np.unique(rng.integers(1, 500, size=200)).astype(np.float64)
-            mult = rng.integers(1, 30, size=values.size).astype(np.float64)
-            raw = rng.uniform(0.2, 1.0, size=n_exp + 1)
-            m = raw / raw.sum()
-            lam = np.sort(rng.uniform(0.05, 3.0, size=n_exp))[::-1].copy()
-            alpha = float(rng.uniform(1.1, 3.5))
-            z, dz = kernels.zeta_pair(alpha, 1.0)
-            args = (values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal)
-            out0 = kernels.mix_loglik_grad(*args)
-            out1 = mix_loglik_grad_oracle(*args)
-            assert out0[0] == pytest.approx(out1[0], rel=1e-12)
-            np.testing.assert_allclose(out0[1], out1[1], rtol=1e-10)
-            np.testing.assert_allclose(out0[2], out1[2], rtol=1e-10)
-            assert out0[3] == pytest.approx(out1[3], rel=1e-10)
+        values = np.unique(rng.integers(1, 500, size=200)).astype(np.float64)
+        mult = rng.integers(1, 30, size=values.size).astype(np.float64)
+        raw = rng.uniform(0.2, 1.0, size=n_exp + 1)
+        m = raw / raw.sum()
+        lam = np.sort(rng.uniform(0.05, 3.0, size=n_exp))[::-1].copy()
+        alpha = float(rng.uniform(1.1, 3.5))
+        z, dz = kernels.zeta_pair(alpha, 1.0)
+        args = (values, np.log(values), mult, m, lam, alpha, 1.0, z, dz)
+        out0 = kernels.mix_loglik_grad(*args)
+        out1 = mix_loglik_grad_oracle(*args)
+        assert out0[0] == pytest.approx(out1[0], rel=1e-12)
+        np.testing.assert_allclose(out0[1], out1[1], rtol=1e-10)
+        np.testing.assert_allclose(out0[2], out1[2], rtol=1e-10)
+        assert out0[3] == pytest.approx(out1[3], rel=1e-10)
 
 
-def test_literal_mode_matches_direct_formula():
-    values = np.array([1.0, 2.0, 7.0])
+def test_geometric_form_matches_direct_formula():
+    values = np.array([3.0, 4.0, 9.0])
     mult = np.ones(3)
     m = np.array([0.6, 0.4])
     lam = np.array([0.5])
-    z, dz = kernels.zeta_pair(2.0, 1.0)
+    z, dz = kernels.zeta_pair(2.0, 3.0)
     ll, _, _, _ = kernels.mix_loglik_grad(
-        values, np.log(values), mult, m, lam, 2.0, 1.0, z, dz, True
+        values, np.log(values), mult, m, lam, 2.0, 3.0, z, dz
     )
-    direct = np.log(
-        0.6 * 0.5 * np.exp(-0.5 * values) + 0.4 * values**-2.0 / z
-    ).sum()
+    geometric = (1.0 - np.exp(-0.5)) * np.exp(-0.5 * (values - 3.0))
+    direct = np.log(0.6 * geometric + 0.4 * values**-2.0 / z).sum()
     assert ll == pytest.approx(direct, rel=1e-12)
+
+
+def test_tenth_argument_must_be_false():
+    # kept so that callers passing ten positional arguments keep working
+    values = np.array([1.0, 2.0, 7.0])
+    args = (values, np.log(values), np.ones(3), np.array([0.6, 0.4]),
+            np.array([0.5]), 2.0, 1.0, *kernels.zeta_pair(2.0, 1.0))
+    for got, want in zip(kernels.mix_loglik_grad(*args, False),
+                         kernels.mix_loglik_grad(*args), strict=True):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(DomainError, match="unnormalized"):
+        kernels.mix_loglik_grad(*args, True)
 
 
 def test_batched_rows_equal_single_calls():
@@ -115,27 +116,25 @@ def test_batched_rows_equal_single_calls():
     values = np.unique(rng.integers(1, 400, size=150)).astype(np.float64)
     mult = rng.integers(1, 20, size=values.size).astype(np.float64)
     for n_exp in (0, 1, 2):
-        for literal in (False, True):
-            raw = rng.uniform(0.2, 1.0, size=(6, n_exp + 1))
-            m = raw / raw.sum(axis=1, keepdims=True)
-            lam = np.sort(rng.uniform(0.05, 3.0, size=(6, n_exp)), axis=1)[:, ::-1]
-            lam = np.ascontiguousarray(lam)
-            alpha = np.concatenate([[1.02, 1.05], rng.uniform(1.1, 3.9, size=4)])
-            z, dz = kernels.zeta_pair(alpha, 1.0)
-            out = kernels.mix_loglik_grad(
-                values, np.log(values), mult, m, lam, alpha, 1.0, z, dz, literal
+        raw = rng.uniform(0.2, 1.0, size=(6, n_exp + 1))
+        m = raw / raw.sum(axis=1, keepdims=True)
+        lam = np.sort(rng.uniform(0.05, 3.0, size=(6, n_exp)), axis=1)[:, ::-1]
+        lam = np.ascontiguousarray(lam)
+        alpha = np.concatenate([[1.02, 1.05], rng.uniform(1.1, 3.9, size=4)])
+        z, dz = kernels.zeta_pair(alpha, 1.0)
+        out = kernels.mix_loglik_grad(
+            values, np.log(values), mult, m, lam, alpha, 1.0, z, dz
+        )
+        for r in range(6):
+            z1, dz1 = kernels.zeta_pair(alpha[r], 1.0)
+            assert (z[r], dz[r]) == (z1, dz1)
+            one = kernels.mix_loglik_grad(
+                values, np.log(values), mult, m[r], lam[r], alpha[r], 1.0, z1, dz1
             )
-            for r in range(6):
-                z1, dz1 = kernels.zeta_pair(alpha[r], 1.0)
-                assert (z[r], dz[r]) == (z1, dz1)
-                one = kernels.mix_loglik_grad(
-                    values, np.log(values), mult, m[r], lam[r], alpha[r],
-                    1.0, z1, dz1, literal,
-                )
-                assert out[0][r] == one[0]
-                np.testing.assert_array_equal(out[1][r], one[1])
-                np.testing.assert_array_equal(out[2][r], one[2])
-                assert out[3][r] == one[3]
+            assert out[0][r] == one[0]
+            np.testing.assert_array_equal(out[1][r], one[1])
+            np.testing.assert_array_equal(out[2][r], one[2])
+            assert out[3][r] == one[3]
 
 
 def _zeta_pair_fresh(alpha, q):
@@ -207,10 +206,11 @@ def _kernel_point(n_exp, rng):
 
 
 @pytest.mark.parametrize("x_min", [1, 3])
-@pytest.mark.parametrize("literal", [False, True])
+# the kept tenth positional argument, which must be false
+@pytest.mark.parametrize("tenth", [False])
 @pytest.mark.parametrize("n_exp", [0, 1, 2])
-def test_hessian_matches_differences_of_the_gradient(n_exp, literal, x_min):
-    rng = substream(515, n_exp, int(literal), x_min)
+def test_hessian_matches_differences_of_the_gradient(n_exp, tenth, x_min):
+    rng = substream(515, n_exp, int(tenth), x_min)
     values = np.unique(rng.integers(x_min, 300, size=120)).astype(np.float64)
     mult = rng.integers(1, 20, size=values.size).astype(np.float64)
     log_values = np.log(values)
@@ -219,7 +219,7 @@ def test_hessian_matches_differences_of_the_gradient(n_exp, literal, x_min):
         m, lam, alpha = p[: n_exp + 1], p[n_exp + 1 : -1], p[-1]
         z, dz, d2z = kernels.zeta_pair(alpha, float(x_min), second=True)
         out = kernels.mix_loglik_grad(values, log_values, mult, m, lam, alpha,
-                                      float(x_min), z, dz, literal,
+                                      float(x_min), z, dz, tenth,
                                       d2z=d2z if hessian else None)
         grad = np.concatenate([out[1], out[2], [out[3]]])
         return (grad, out[4]) if hessian else grad
@@ -244,16 +244,15 @@ def test_batched_hessian_rows_equal_single_calls():
     values = np.unique(rng.integers(1, 400, size=150)).astype(np.float64)
     mult = rng.integers(1, 20, size=values.size).astype(np.float64)
     for n_exp in (0, 1, 2):
-        for literal in (False, True):
-            pts = np.array([_kernel_point(n_exp, rng) for _ in range(5)])
-            m = np.ascontiguousarray(pts[:, : n_exp + 1])
-            lam = np.ascontiguousarray(pts[:, n_exp + 1 : -1])
-            alpha = np.ascontiguousarray(pts[:, -1])
-            z, dz, d2z = kernels.zeta_pair(alpha, 1.0, second=True)
-            out = kernels.mix_loglik_grad(values, np.log(values), mult, m, lam, alpha,
-                                          1.0, z, dz, literal, d2z=d2z)
-            for r in range(5):
-                one = kernels.mix_loglik_grad(values, np.log(values), mult, m[r],
-                                              lam[r], alpha[r], 1.0, z[r], dz[r],
-                                              literal, d2z=d2z[r])
-                np.testing.assert_array_equal(out[4][r], one[4])
+        pts = np.array([_kernel_point(n_exp, rng) for _ in range(5)])
+        m = np.ascontiguousarray(pts[:, : n_exp + 1])
+        lam = np.ascontiguousarray(pts[:, n_exp + 1 : -1])
+        alpha = np.ascontiguousarray(pts[:, -1])
+        z, dz, d2z = kernels.zeta_pair(alpha, 1.0, second=True)
+        out = kernels.mix_loglik_grad(values, np.log(values), mult, m, lam, alpha,
+                                      1.0, z, dz, d2z=d2z)
+        for r in range(5):
+            one = kernels.mix_loglik_grad(values, np.log(values), mult, m[r],
+                                          lam[r], alpha[r], 1.0, z[r], dz[r],
+                                          d2z=d2z[r])
+            np.testing.assert_array_equal(out[4][r], one[4])

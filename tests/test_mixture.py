@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 import frozen_values as fv
-from tailmix.errors import (
-    ContractError,
-    DataError,
-    DomainError,
-    UnsupportedOperationError,
-)
+from tailmix.errors import ContractError, DataError, DomainError
 from tailmix.mixture import (
     BinnedSeries,
     MixtureParams,
@@ -40,7 +35,7 @@ class TestModelSpec:
             ModelSpec(n_exp=3)
         with pytest.raises(DomainError):
             ModelSpec(n_exp=1, x_min=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="must be 'discrete'"):
             ModelSpec(n_exp=1, exp_mode="fancy")
 
 
@@ -92,7 +87,8 @@ class TestDensities:
         direct = (np.array(params.weights)[:, None] * comp).sum(axis=0)
         np.testing.assert_allclose(mixture_pmf(xs, EEP, params), direct, rtol=1e-12)
 
-    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    # the one exponential form, passed through ModelSpec's kept field
+    @pytest.mark.parametrize("exp_mode", ["discrete"])
     @pytest.mark.parametrize(
         "n_exp, params",
         [
@@ -166,6 +162,9 @@ class TestBinnedSeries:
             BinnedSeries(np.array([[1, 2]]), bin_seconds=4)
         with pytest.raises(DataError):
             BinnedSeries(np.array([1, 2]), bin_seconds=0)
+        for bin_seconds in (np.inf, np.nan):
+            with pytest.raises(DataError, match="positive and finite"):
+                BinnedSeries(np.array([1, 2]), bin_seconds=bin_seconds)
 
     def test_counts_are_read_only(self):
         s = BinnedSeries(np.array([1, 2, 3]), bin_seconds=4)
@@ -204,15 +203,9 @@ class TestSampling:
         assert (xs == 1).mean() == pytest.approx(expected, abs=0.01)
 
     def test_literal_mode_refused(self):
-        spec = ModelSpec(n_exp=1, exp_mode="paper-literal")
-        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
-        with pytest.raises(UnsupportedOperationError):
-            sample_mixture(spec, params, 10, seed=0)
-
-    def test_literal_pure_tail_still_samples(self):
-        spec = ModelSpec(n_exp=0, exp_mode="paper-literal")
-        xs = sample_mixture(spec, MixtureParams((1.0,), (), 2.0), 100, seed=0)
-        assert xs.min() >= 1
+        # the unnormalized form has no sampler; no spec can name it
+        with pytest.raises(DomainError, match="must be 'discrete'"):
+            ModelSpec(n_exp=1, exp_mode="paper-literal")
 
     def test_negative_size_is_domain_error(self):
         params = MixtureParams((0.5, 0.5), (0.3,), 1.7)

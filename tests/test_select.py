@@ -199,17 +199,19 @@ class TestSelectMany:
             sample_mixture(ModelSpec(2), eep, 2500, seed=23),
         ]
 
-    @pytest.mark.parametrize("exp_mode", ["discrete", "paper-literal"])
+    # the one exponential form, which every fitted spec reports
+    @pytest.mark.parametrize("exp_mode", ["discrete"])
     def test_results_equal_select_nested_bit_for_bit(self, exp_mode):
         series = self._series()
         configs = [FitConfig(restarts=3, seed=s) for s in (3, 4, 5, 6)]
-        got = select_many(series, configs, exp_mode=exp_mode)
+        got = select_many(series, configs)
         assert isinstance(got[2], DataError)
         assert "EEP" in got[1].models and "EEP" in got[3].models
         for j in (0, 1, 3):
-            alone = select_nested(series[j], configs[j], exp_mode=exp_mode)
+            alone = select_nested(series[j], configs[j])
             assert (canonical_json(serialize_selection(got[j]))
                     == canonical_json(serialize_selection(alone)))
+            assert {fm.spec.exp_mode for fm in got[j].models.values()} == {exp_mode}
         assert [got[j].chosen for j in (0, 1)] == ["P", "EP"]
 
     def test_eep_failure_stays_on_its_series(self, monkeypatch):
