@@ -8,11 +8,14 @@ The component densities are evaluated only by
 fits use; the power-law sampler reads the same zeta.
 
 The power-law sampler inverts the cumulative pmf over up to 2^20 support
-values. That table is never held whole: per (alpha, x_min) it keeps the
-first 4096 prefix sums and every 256th, at most 64 KB, for the 32 most
-recently used keys, and folds again only the 256-value blocks that draws
-fall in. A caller that cycles through up to 32 keys builds each once
-per process, in whatever order it visits them.
+values, up to the first power of two beyond which zeta leaves at most
+1e-12 of the mass. That table is never held whole: per (alpha, x_min)
+it keeps the first 4096 prefix sums and every 256th, at most 64 KB, for
+the 32 most recently used keys, and folds again only the 256-value
+blocks that draws fall in. A caller that cycles through up to 32 keys
+builds each once per process, in whatever order it visits them. Draws
+beyond the table edge scale with 1 / (1 - S[L-1]), so the last bits of
+zeta reach them.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .seeding import substream
 ALPHA_MIN = 1.0 + 1e-9
 RATE_MIN = 1e-12
 
-# Power-law sampling controls: the cumulative pmf extends until this
-# much mass is covered, then the analytic tail takes the remainder.
-_TABLE_MASS = 1.0 - 1e-12
+# Power-law sampling controls: the cumulative pmf extends until the
+# mass left beyond it is at most _TAIL_MASS, then the analytic tail takes
+# the remainder.
+_TAIL_MASS = 1e-12
 _TABLE_MAX = 1 << 20
 # Kept per (alpha, x_min): the first _HEAD prefix sums and the last sum
 # of every _BLOCK-value block; at _TABLE_MAX that is 2 x 32 KB. _BLOCK
@@ -136,9 +140,13 @@ def _fold(sums: np.ndarray, alpha: float, z: float) -> None:
 def _pareto_checkpoints(alpha: float, x_min: int):
     """(zeta, head, ends) of the cumulative pmf S over x_min..x_min+L-1.
 
-    L is the first power of two >= 1024 with S[L-1] >= _TABLE_MASS, or
-    _TABLE_MAX. S is folded in chunks, each continuing the running sum
-    from the last, so every prefix equals a one-shot cumsum bit for bit.
+    L is the first power of two >= 1024 whose remaining mass
+    zeta(alpha, x_min + L) / zeta(alpha, x_min) is at most _TAIL_MASS, or
+    _TABLE_MAX. The mass is read from zeta, not from 1 - S[L-1]: the
+    running float64 sum can round short of 1 - _TAIL_MASS for good (at
+    alpha 3.5, x_min 3 it would run to the cap). S is folded in chunks,
+    each continuing the running sum from the last, so every prefix
+    equals a one-shot cumsum bit for bit.
     Only head = S[:_HEAD] and ends = S[_BLOCK-1::_BLOCK] are kept,
     read-only.
     """
@@ -157,7 +165,10 @@ def _pareto_checkpoints(alpha: float, x_min: int):
         if hi <= _HEAD:
             head[lo:hi] = run[1:]
         ends[lo // _BLOCK : hi // _BLOCK] = run[_BLOCK::_BLOCK]
-        if hi & (hi - 1) == 0 and (run[-1] >= _TABLE_MASS or hi >= _TABLE_MAX):
+        if hi & (hi - 1) == 0 and (
+            hi >= _TABLE_MAX
+            or kernels.zeta_pair(alpha, float(x_min + hi))[0] / z <= _TAIL_MASS
+        ):
             break
         lo = hi
     head, ends = head[:hi], ends[: hi // _BLOCK]

@@ -177,8 +177,9 @@ def _objective(fits, starts, spec):
     (B, d), and ``rows`` (ascending) names the row of each point. Every
     point must have all slacks A @ theta + b > 0: the starting points are
     feasible by construction and ``_feasible_steps`` only hands out
-    feasible trial points. Each fit's points go through one zeta and one
-    kernel call on that fit's own values and multiplicities. The kernel's
+    feasible trial points. One zeta call covers every point (zeta depends
+    on alpha and x_min only), and each fit's points go through one kernel
+    call on that fit's own values and multiplicities. The kernel's
     gradient and Hessian, taken with all weights free, map to theta
     through the affine simplex Jacobian (the tail weight is one minus the
     others). Every operation is shaped so that row b equals the
@@ -198,15 +199,15 @@ def _objective(fits, starts, spec):
         m[:, k] = 1.0 - theta[:, :k].sum(axis=1)
         lam = np.ascontiguousarray(theta[:, k : 2 * k])
         alpha = np.ascontiguousarray(theta[:, -1])
+        z, dz, d2z = kernels.zeta_pair(alpha, x_min, second=True)
         cuts = [0, *np.searchsorted(rows, inner_starts).tolist(), rows.size]
         parts = []
         for (values, log_values, mult), lo, hi in zip(data, cuts, cuts[1:]):
             if lo == hi:
                 continue
-            z, dz, d2z = kernels.zeta_pair(alpha[lo:hi], x_min, second=True)
             parts.append(kernels.mix_loglik_grad(
                 values, log_values, mult, m[lo:hi], lam[lo:hi], alpha[lo:hi],
-                x_min, z, dz, d2z=d2z,
+                x_min, z[lo:hi], dz[lo:hi], d2z=d2z[lo:hi],
             ))
         if len(parts) == 1:
             ll, g_m, g_lam, g_alpha, hess = parts[0]

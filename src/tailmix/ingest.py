@@ -236,12 +236,18 @@ def _count(times, lo, hi, w):
     whole-array count would, so every index has the same bits, and is
     counted over its own index span only: a chunk costs O(chunk + span),
     however many bins the window has. A window of more than _MAX_BINS
-    bins is a DataError, raised before the counter is allocated.
+    bins is a DataError, raised before the counter is allocated, and so
+    is a quotient t / w that is not finite or whose floor is 2^62 or more
+    in magnitude, raised before any index is cast to int64.
     """
     first, last = lo / w, hi / w
-    # a quotient that overflows to infinity fails the test too
-    span = last - first
-    if not math.isfinite(span) or math.floor(last) - math.floor(first) >= _MAX_BINS:
+    # every t / w lies between these two; an infinite one fails too
+    if not max(-first, last) < 2.0**62:
+        far = hi if last >= -first else lo
+        raise DataError(
+            f"start time {far:g} s lies more than 2^62 bins of {w:g} s from time 0"
+        )
+    if math.floor(last) - math.floor(first) >= _MAX_BINS:
         raise DataError(
             f"flows span {hi - lo:g} s, more than {_MAX_BINS} bins of {w:g} s"
         )

@@ -137,6 +137,16 @@ class TestBinCommand:
         assert "bins of 4 s" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bin_index_past_2_62_writes_nothing(self, tmp_path, capsys):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("start_time\n1e300\n")
+        out = tmp_path / "out"
+        rc = main(["bin", "--input", str(flows), "--windows", "4",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert "more than 2^62 bins of 4 s" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("args", [
     ["fit-select", "--input", "x.series"],

@@ -197,7 +197,8 @@ def _pareto_table_rebuilt(params):
     while True:
         vals = params.x_min + np.arange(size, dtype=np.float64)
         cum = np.cumsum(vals ** (-params.alpha) / z)
-        if cum[-1] >= dists._TABLE_MASS or size >= dists._TABLE_MAX:
+        left = hurwitz_zeta(params.alpha, params.x_min + size) / z
+        if left <= dists._TAIL_MASS or size >= dists._TABLE_MAX:
             return cum
         size <<= 1
 
@@ -260,8 +261,8 @@ class TestParetoTable:
         # a mass target first met inside the third 64K chunk stops the
         # table at the next power of two, as the doubling rebuild does
         p = ParetoParams(2.0)
-        full = _pareto_table_rebuilt(p)
-        monkeypatch.setattr(dists, "_TABLE_MASS", full[(1 << 17) + 5000])
+        left = hurwitz_zeta(2.0, 1 + (1 << 17) + 5000) / hurwitz_zeta(2.0)
+        monkeypatch.setattr(dists, "_TAIL_MASS", left)
         want = _pareto_table_rebuilt(p)
         assert want.size == 1 << 18
         _, head, ends = dists._pareto_checkpoints(2.0, 1)
@@ -270,6 +271,15 @@ class TestParetoTable:
         u[:3] = [want[-1], np.nextafter(want[-1], 0.0), ends[-2]]
         np.testing.assert_array_equal(
             sample_pareto(p, u.size, _FixedDraws(u)), _sample_from_full_table(p, u))
+
+    def test_stop_rule_reads_the_remaining_mass_from_zeta(self):
+        # at alpha 3.5, x_min 3 the running sum never rounds up to
+        # 1 - 1e-12, but the mass beyond 2^18 values is below 1e-12
+        z, _, ends = dists._pareto_checkpoints(3.5, 3)
+        assert ends.size * dists._BLOCK == 1 << 18
+        assert ends[-1] < 1.0 - dists._TAIL_MASS
+        left = [hurwitz_zeta(3.5, 3 + (1 << k)) / z for k in (17, 18)]
+        assert left[0] > dists._TAIL_MASS >= left[1]
 
     def test_draws_equal_draws_from_rebuilt_table(self):
         # interleaved with repeats: revisits draw from kept checkpoints

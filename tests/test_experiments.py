@@ -234,10 +234,21 @@ class TestSamplingTableBuilds:
 # SHA-256 of the preset samples, the int64 draws of each grid point or
 # row concatenated over its replicates, as the sampler drew them when
 # the Pareto table was held whole. A sampler change that moves one bit
-# of any draw changes these.
+# of any draw changes these. The draws beyond the table edge scale with
+# 1 / (1 - S[L-1]), so zeta's last bits reach them: the fixed-length
+# Euler-Maclaurin zeta moved 122 draws at alpha 1.2 and 2 at 1.4, all
+# above 6e11 and by at most 1.7e-12 relative, and those two entries were
+# frozen again. The same draws clipped at 2^30 kept their digests.
 _FIG2_DESK_DIGESTS = {
-    1.2: "7c8a1fe0bba216ca8c845fdd8bffeb0e561409d5fa62e8f30a0bcf7767cba25d",
-    1.4: "b59d7c3a2c4e24016069e873d7b6b008ca7ef26b315b247126b92c769d3a2711",
+    1.2: "8b14bbce16d6d74960289e1aad774a4781bee65ee1cbd49bce5c8f3f22ac31f5",
+    1.4: "f1211bbd9f2a67ea3810d188feb668a91c8f837c7174e4dbe27c1ebb2b3ae1b5",
+    1.6: "7311e92abd1be246f26e46a7bfc51d7de13b465970584235d3b0b1b41bc6cfc1",
+    1.8: "23ff009f0bcff9a8f0e20fc7169429c5e50d44239bf6780829b85ac918b93e1c",
+    2.0: "3b44909d708ec4488c6cd9f032bf92ce09b611c005533cf778a808956fbd50d3",
+}
+_FIG2_DESK_CLIPPED_DIGESTS = {
+    1.2: "cf374c871f7ea179e0825d40945a331086953e0e46e22cd040fceb9d3b0cfc5f",
+    1.4: "33233d604fb11903063af98a161e7fa49788104d2991bb7e280d0be20c44ceca",
     1.6: "7311e92abd1be246f26e46a7bfc51d7de13b465970584235d3b0b1b41bc6cfc1",
     1.8: "23ff009f0bcff9a8f0e20fc7169429c5e50d44239bf6780829b85ac918b93e1c",
     2.0: "3b44909d708ec4488c6cd9f032bf92ce09b611c005533cf778a808956fbd50d3",
@@ -255,7 +266,8 @@ _TABLE2_DESK_DIGESTS = {
 class TestFrozenSamplerDigests:
     """The presets' samples, drawn as their runners draw them, are frozen."""
 
-    def test_fig2_desk_samples(self):
+    @staticmethod
+    def fig2_desk_digests(clip=None):
         from tailmix.experiments import _DATA_STREAM
         from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
         from tailmix.seeding import DEFAULT_SEED
@@ -272,9 +284,17 @@ class TestFrozenSamplerDigests:
                 truth = MixtureParams(
                     (plan.mix_weight, 1.0 - plan.mix_weight), (lam,), alpha)
                 xs = sample_mixture(spec, truth, plan.n_samples, rng)
+                if clip is not None:
+                    xs = np.minimum(xs, clip)
                 digests[alpha].update(xs.astype("<i8").tobytes())
-        got = {alpha: h.hexdigest() for alpha, h in digests.items()}
-        assert got == _FIG2_DESK_DIGESTS
+        return {alpha: h.hexdigest() for alpha, h in digests.items()}
+
+    def test_fig2_desk_samples(self):
+        assert self.fig2_desk_digests() == _FIG2_DESK_DIGESTS
+
+    def test_fig2_desk_samples_clipped_at_2_30(self):
+        # every draw that zeta's rounding can move lies far beyond 2^30
+        assert self.fig2_desk_digests(clip=1 << 30) == _FIG2_DESK_CLIPPED_DIGESTS
 
     def test_table2_desk_samples(self):
         from tailmix.experiments import _DATA_STREAM, _spec_for

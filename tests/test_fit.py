@@ -340,6 +340,33 @@ class TestLockstep:
             assert batch[j].data_fingerprint == alone.data_fingerprint
             assert batch[j].diagnostics == alone.diagnostics
 
+    def test_one_zeta_call_per_objective_round(self, monkeypatch):
+        # zeta depends on alpha and x_min only, so one call covers the
+        # rows of every fit in the lockstep
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        series = [sample_mixture(EP, truth, n, seed=9) for n in (600, 2500)]
+        configs = [FitConfig(restarts=3, seed=s) for s in (1, 2)]
+        calls = {"rounds": 0, "zeta": 0, "kernel": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        real_objective = fit_module._objective
+        monkeypatch.setattr(fit_module, "_objective",
+                            lambda *args: counted("rounds", real_objective(*args)))
+        monkeypatch.setattr(kernels, "zeta_pair", counted("zeta", kernels.zeta_pair))
+        monkeypatch.setattr(kernels, "mix_loglik_grad",
+                            counted("kernel", kernels.mix_loglik_grad))
+        fits = fit_module.fit_models(series, EP, configs)
+        assert all(isinstance(f, FittedModel) for f in fits)
+        assert calls["rounds"] > 0
+        assert calls["zeta"] == calls["rounds"]
+        # both fits were evaluated in some rounds: one kernel call each
+        assert calls["rounds"] < calls["kernel"] <= 2 * calls["rounds"]
+
     def test_fit_models_isolate_a_failed_fit(self, monkeypatch):
         # every restart of the second fit fails; the others are untouched
         real = kernels.mix_loglik_grad

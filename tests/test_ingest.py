@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import threading
 import tracemalloc
 import warnings
@@ -186,6 +187,19 @@ class TestWindowLadder:
             bin_at_windows([-4.0, 28.0], (4, 8))
         with pytest.raises(DataError, match="bins of 3 s"):
             bin_at_windows([0.0, 27.0], (3, 6))
+
+    def test_bin_index_past_2_62_is_a_data_error(self):
+        # the int64 cast of such an index would wrap, and the series come
+        # back empty; the window is named, whichever side is too far
+        for times, far in (([1e300], "1e+300"), ([-1e300, 0.0], "-1e+300"),
+                           ([2.0**64], "1.84467e+19")):
+            with pytest.raises(DataError, match=rf"time {re.escape(far)} s lies "
+                               r"more than 2\^62 bins of 4 s"):
+                bin_at_windows(times, (4, 8))
+        # the last index below 2^62 still counts
+        edge = 2.0**62 - 1024
+        series = bin_at_windows([edge, edge], (1,))[1]
+        assert series.counts.tolist() == [2]
 
     def test_binning_peak_memory(self):
         # the counts and two chunk buffers, not full-length temporaries

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from tailmix import kernels
+from tailmix.dists import hurwitz_zeta
 from tailmix.errors import DomainError
 from tailmix.seeding import substream
 
@@ -137,45 +139,62 @@ def test_batched_rows_equal_single_calls():
             assert out[3][r] == one[3]
 
 
-def _zeta_pair_fresh(alpha, q):
-    """zeta_pair's arithmetic for one alpha, with its bases built afresh."""
-    k_terms = kernels._zeta_terms(alpha)
-    base = q + np.arange(k_terms, dtype=np.float64)
-    t = base ** (-np.array([alpha])[:, None])
-    s0 = t.sum(axis=1).tolist()[0]
-    s1 = -(np.log(base) * t).sum(axis=1).tolist()[0]
-    return kernels._zeta_tail(alpha, q, k_terms, s0, s1)
+# alphas from just above 1, where the integral term dominates, to 40,
+# where the first term does
+_ZETA_ALPHAS = [1.0 + 1e-9, 1.0001, 1.05, 1.6, 3.9, 4.0, 40.0]
 
 
-@pytest.mark.parametrize("q", [1.0, 3.0])
-def test_zeta_batches_equal_scalar_calls_on_cold_and_warm_cache(q):
-    mixed = [1.0001, 1.05, 1.6, 3.9, 1.05]
-    same = [1.6, 3.9, 2.2]
-    terms = {kernels._zeta_terms(a) for a in mixed}
-    assert len(terms) == 3 and max(terms) > kernels.ZETA_CACHE_TERMS
-    kernels._cached_bases.cache_clear()
-    for _cache in ("cold", "warm"):
-        for alphas in (mixed, same):
-            want = [_zeta_pair_fresh(a, q) for a in alphas]
-            z, dz = kernels.zeta_pair(np.array(alphas), q)
-            for r, a in enumerate(alphas):
-                assert (z[r], dz[r]) == want[r]
-                assert kernels.zeta_pair(a, q) == want[r]
-    # the 10^5-term bases of alpha 1.0001 are not kept
-    kept = {k for k in terms if k <= kernels.ZETA_CACHE_TERMS}
-    assert kernels._cached_bases.cache_info().currsize == len(kept)
+@pytest.mark.parametrize("q", [1.0, 3.0, 50.0])
+def test_zeta_rows_equal_scalar_and_sub_batch_calls(q):
+    alphas = np.array(_ZETA_ALPHAS)
+    batch = kernels.zeta_pair(alphas, q, second=True)
+    for r, a in enumerate(_ZETA_ALPHAS):
+        assert kernels.zeta_pair(a, q, second=True) == tuple(v[r] for v in batch)
+    for lo, hi in ((0, 2), (1, 4), (3, 7), (6, 7)):
+        part = kernels.zeta_pair(alphas[lo:hi], q, second=True)
+        for got, want in zip(part, batch):
+            np.testing.assert_array_equal(got, want[lo:hi])
+    # reversed, so each alpha sits at another place in the batch
+    back = kernels.zeta_pair(alphas[::-1].copy(), q, second=True)
+    for got, want in zip(back, batch):
+        np.testing.assert_array_equal(got[::-1], want)
 
 
-def _d2zeta_oracle(alpha, q, n_terms=1_000_000):
-    """sum_{n>=0} log(q+n)^2 (q+n)^-alpha: a direct sum of n_terms
-    terms, then the integral of the rest plus half its first term
-    (trapezoid rule), which leaves an error below 1e-11 for alpha >= 1.1."""
+def _zeta_derivative_oracle(alpha, q, order, n_terms=1_000_000):
+    """d^order zeta(alpha, q) / d alpha^order = sum_{n>=0} (-log(q+n))^order
+    (q+n)^-alpha: a direct sum of n_terms terms, then the integral of the
+    rest plus half its first term (trapezoid rule), which leaves an error
+    below 1e-11 for alpha >= 1.1."""
     base = q + np.arange(n_terms, dtype=np.float64)
-    head = math.fsum((np.log(base) ** 2 * base ** -alpha).tolist())
+    head = math.fsum((np.log(base) ** order * base ** -alpha).tolist())
     edge = q + n_terms
     ln_e, a = math.log(edge), alpha - 1.0
-    integral = edge ** -a * (ln_e**2 / a + 2.0 * ln_e / a**2 + 2.0 / a**3)
-    return head + integral + 0.5 * ln_e**2 * edge ** -alpha
+    # the integral of log(x)^order x^-alpha over [edge, inf)
+    integral = edge ** -a * sum(
+        math.factorial(order) // math.factorial(order - i) * ln_e ** (order - i)
+        / a ** (i + 1) for i in range(order + 1))
+    return (-1) ** order * (head + integral + 0.5 * ln_e**order * edge ** -alpha)
+
+
+@pytest.mark.parametrize("q", [1.0, 3.0, 50.0])
+def test_zeta_and_derivatives_match_scipy_and_direct_sums(q):
+    # past 2e5 terms the oracle's trapezoid error is at most 3.4e-14
+    # relative over this grid (at alpha 1.05)
+    for a in _ZETA_ALPHAS:
+        z, dz, d2z = kernels.zeta_pair(a, q, second=True)
+        assert z == pytest.approx(scipy.special.zeta(a, q), rel=1e-14, abs=0.0), a
+        want = [_zeta_derivative_oracle(a, q, k, 200_000) for k in (1, 2)]
+        assert dz == pytest.approx(want[0], rel=1e-13, abs=0.0), a
+        assert d2z == pytest.approx(want[1], rel=1e-13, abs=0.0), a
+
+
+def test_zeta_at_huge_alpha_is_its_first_term():
+    # no power of alpha is formed alone, so nothing overflows
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for a in (1e14, 1e300):
+            assert kernels.zeta_pair(a, 1.0, second=True) == (1.0, 0.0, 0.0)
+            assert kernels.zeta_pair(a, 3.0, second=True) == (0.0, 0.0, 0.0)
+            assert hurwitz_zeta(a) == 1.0
 
 
 @pytest.mark.parametrize("q", [1.0, 3.0])
@@ -183,7 +202,7 @@ def test_second_zeta_derivative_matches_direct_sum(q):
     alphas = [1.1, 1.6, 2.0, 3.3, 3.9]
     _, _, d2z = kernels.zeta_pair(np.array(alphas), q, second=True)
     for a, got in zip(alphas, d2z):
-        want = _d2zeta_oracle(a, q)
+        want = _zeta_derivative_oracle(a, q, 2)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-9)
         assert kernels.zeta_pair(a, q, second=True)[2] == got
 
