@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import DataError, TailmixError
 from .experiments import PRESETS, run_preset
-from .fit import FitConfig
+from .fit import DEFAULT_RESTARTS, FitConfig
 from .ingest import (
     STANDARD_WINDOWS,
     bin_at_windows,
@@ -49,7 +49,7 @@ from .reporting import (
     write_report,
 )
 from .seeding import DEFAULT_SEED
-from .select import select_many, select_nested
+from .select import DEFAULT_THRESHOLD, select_many, select_nested
 
 SEED_ENV = "TAILMIX_SEED"
 
@@ -86,11 +86,11 @@ def _fit_config(args):
 
 
 def _fit_flags(parser):
-    parser.add_argument("--restarts", type=int, default=20,
+    parser.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
                         help="random optimizer restarts per model")
     parser.add_argument("--seed", type=int, default=None,
                         help=f"root RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
-    parser.add_argument("--threshold", type=float, default=10.0,
+    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="natural-log Bayes factor needed to grow the model")
     parser.add_argument("--x-min", type=int, default=1, help="support minimum")
 

@@ -97,18 +97,14 @@ class ExpParams:
 
 def hurwitz_zeta(alpha: float, x_min: int = 1) -> float:
     """Normalizing constant zeta(alpha, x_min) = sum_{x>=x_min} x^-alpha."""
-    if not (alpha > ALPHA_MIN):
-        raise DomainError(f"alpha must exceed {ALPHA_MIN}, got {alpha}")
-    x_min = _check_x_min(x_min)
-    return kernels.zeta_pair(alpha, float(x_min))[0]
+    p = ParetoParams(alpha, x_min)
+    return kernels.zeta_pair(p.alpha, float(p.x_min))[0]
 
 
 def hurwitz_zeta_dalpha(alpha: float, x_min: int = 1) -> float:
     """Derivative of zeta(alpha, x_min) with respect to alpha."""
-    if not (alpha > ALPHA_MIN):
-        raise DomainError(f"alpha must exceed {ALPHA_MIN}, got {alpha}")
-    x_min = _check_x_min(x_min)
-    return kernels.zeta_pair(alpha, float(x_min))[1]
+    p = ParetoParams(alpha, x_min)
+    return kernels.zeta_pair(p.alpha, float(p.x_min))[1]
 
 
 def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:

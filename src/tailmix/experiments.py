@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DataError, EstimationError, FitError, TailmixError
 # fit_model stays importable here: perfbench's tracer wraps experiments.fit_model
-from .fit import FitConfig, fit_model, fit_models  # noqa: F401
+from .fit import DEFAULT_RESTARTS, FitConfig, fit_model, fit_models  # noqa: F401
 from .mixture import LABELS, MixtureParams, ModelSpec, sample_mixture
 from .seeding import DEFAULT_SEED, child_seed, substream
-from .select import select_many
+from .select import DEFAULT_THRESHOLD, select_many
 
 _LN10 = math.log(10.0)
 # substream tags: raw data draws vs optimizer restarts
@@ -62,7 +62,7 @@ class RecoveryPlan:
     mix_weight: float = 0.5
     lambda_range: tuple = (0.1, 0.3)
     tail_fraction: float = 0.1
-    restarts: int = 20
+    restarts: int = DEFAULT_RESTARTS
     x_min: int = 1
 
 
@@ -90,8 +90,8 @@ class SelectionPlan:
     name: str
     rows: tuple
     n_replicates: int
-    threshold: float = 10.0
-    restarts: int = 20
+    threshold: float = DEFAULT_THRESHOLD
+    restarts: int = DEFAULT_RESTARTS
     x_min: int = 1
 
 
@@ -226,7 +226,7 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
         truth_spec = _spec_for(row.truth_label, plan.x_min)
         reps = []
         tracked = []
-        chosen_counts = {"P": 0, "EP": 0, "EEP": 0}
+        chosen_counts = dict.fromkeys(LABELS, 0)
         samples = [
             sample_mixture(truth_spec, row.truth_params, row.n_samples,
                            substream(seed, ri, rep, _DATA_STREAM))
@@ -257,16 +257,13 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
             elif row.metric == "eep_ep":
                 tracked.append(rec["log_bf_eep_ep"])
             reps.append(rec)
-        out = {
-            "row_id": row.row_id,
-            "truth_label": row.truth_label,
-            "n_samples": row.n_samples,
-            "metric": row.metric,
-            "expected_choice": row.expected_choice,
-            "choice_rate": chosen_counts[row.expected_choice] / plan.n_replicates,
-            "chosen_counts": chosen_counts,
-            "replicates": reps,
-        }
+        out = asdict(row)
+        del out["truth_params"]  # the plan block holds it
+        out.update(
+            choice_rate=chosen_counts[row.expected_choice] / plan.n_replicates,
+            chosen_counts=chosen_counts,
+            replicates=reps,
+        )
         if tracked:
             out["median_log10_bf"] = float(np.median(tracked) / _LN10)
         checks = []
@@ -274,21 +271,12 @@ def run_selection_strength(plan: SelectionPlan, seed: int = DEFAULT_SEED) -> dic
             checks.append(out["median_log10_bf"] >= row.gate_median_log10)
         if row.gate_choice_rate is not None:
             checks.append(out["choice_rate"] >= row.gate_choice_rate)
-        out["gate_median_log10"] = row.gate_median_log10
-        out["gate_choice_rate"] = row.gate_choice_rate
         out["pass"] = all(checks) if checks else None
         rows_out.append(out)
     gated = [r for r in rows_out if r["pass"] is not None]
     return {
         "study": "selection-strength",
-        "plan": {
-            "name": plan.name,
-            "n_replicates": plan.n_replicates,
-            "threshold": plan.threshold,
-            "restarts": plan.restarts,
-            "x_min": plan.x_min,
-            "rows": [asdict(r) for r in plan.rows],
-        },
+        "plan": asdict(plan),
         "seed": seed,
         "rows": rows_out,
         "gates": {

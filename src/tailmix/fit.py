@@ -45,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DataError, DomainError, FitError, TailmixError
-from .mixture import BinnedSeries, MixtureParams, ModelSpec, aggregate_counts
+from .mixture import MixtureParams, ModelSpec, aggregate_counts, as_series
 from .seeding import DEFAULT_SEED, substream
 
 # Random-restart initialization ranges. Weights start at least this far
@@ -65,6 +65,9 @@ BARRIER_WEIGHTS = (1e-2, 1e-5, 1e-8)
 NEWTON_TOL = 1e-13
 MAX_INNER_ITERS = 500
 
+# Random restarts per fit, unless a FitConfig says otherwise.
+DEFAULT_RESTARTS = 20
+
 # Upper bounds of the feasible box for alpha and for each rate.
 ALPHA_MAX = 4.0
 LAMBDA_MAX = 3.5
@@ -79,7 +82,7 @@ _EIG_FLOOR = 1e-14
 class FitConfig:
     """Restart count and root seed. Defaults match the validation experiments."""
 
-    restarts: int = 20
+    restarts: int = DEFAULT_RESTARTS
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -428,11 +431,10 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
 
 
 def _prepare(series, spec):
-    """(series, values, mult, n) for one fit; DataError if fewer than 2
-    distinct counts remain, since no model can then be told from
-    another."""
-    if not isinstance(series, BinnedSeries):
-        series = BinnedSeries(np.asarray(series), bin_seconds=1.0)
+    """(series, values, mult, n) for one fit, the series taken through
+    as_series; DataError if fewer than 2 distinct counts remain, since
+    no model can then be told from another."""
+    series = as_series(series)
     values, mult = aggregate_counts(series.counts, spec.x_min)
     if values.shape[0] < 2:
         raise DataError(
@@ -477,7 +479,7 @@ def _fitted(series, values, n, spec, thetas, fs, grads, decrements, logliks,
     }
     return FittedModel(
         spec=spec,
-        params=theta_to_params(theta, spec).canonical(),
+        params=theta_to_params(theta, spec),
         loglik=ll,
         n=n,
         data_fingerprint=series.fingerprint(),

@@ -339,21 +339,32 @@ def read_series_file(path) -> BinnedSeries:
             head = json.loads(first[1:])
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: bad JSON header: {exc}") from None
+        if not isinstance(head, dict):
+            raise DataError(
+                f"{path}: header must be a JSON object, got {type(head).__name__}"
+            )
         for key in ("bin_seconds", "source_id", "n"):
             if key not in head:
                 raise DataError(f"{path}: header missing {key!r}")
+        bin_seconds, n = head["bin_seconds"], head["n"]
+        if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, (int, float)):
+            raise DataError(
+                f"{path}: header bin_seconds must be a number, got {bin_seconds!r}"
+            )
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise DataError(
+                f"{path}: header n must be a non-negative integer, got {n!r}"
+            )
         counts = _parse_body(path, dtype=np.int64, ndmin=2)
         if counts is None or not counts.size or counts.shape[1] != 1:
             counts = _counts_by_line(fh, path)
         else:
             counts = counts[:, 0]
-    if len(counts) != head["n"]:
-        raise DataError(
-            f"{path}: header says n={head['n']} but found {len(counts)} counts"
-        )
+    if len(counts) != n:
+        raise DataError(f"{path}: header says n={n} but found {len(counts)} counts")
     return BinnedSeries(
         np.asarray(counts, dtype=np.int64),
-        bin_seconds=float(head["bin_seconds"]),
+        bin_seconds=float(bin_seconds),
         source_id=str(head["source_id"]),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dists, kernels
-from .dists import ALPHA_MIN, ExpParams, ParetoParams
+from .dists import ExpParams, ParetoParams
 from .errors import ContractError, DataError, DomainError
 from .seeding import substream
 
@@ -64,8 +64,9 @@ class ModelSpec:
 class MixtureParams:
     """Parameter point: mixing weights (power-tail weight last), rates, alpha.
 
-    Rate order is not constrained here; :meth:`canonical` returns the
-    label-switching representative with rates sorted descending.
+    Rate order is not constrained here. A fitted EEP has its rates in
+    descending order, fastest decay first, because the fit's slack
+    system keeps every iterate at rate1 > rate2.
     """
 
     weights: tuple
@@ -87,17 +88,7 @@ class MixtureParams:
             raise DomainError(f"weights must sum to 1, got sum {sum(w)!r}")
         if any(v <= 0.0 for v in lam):
             raise DomainError(f"rates must be strictly positive, got {lam}")
-        if not (self.alpha > ALPHA_MIN):
-            raise DomainError(f"alpha must exceed {ALPHA_MIN}, got {self.alpha}")
-
-    def canonical(self) -> "MixtureParams":
-        """Sort exponential components by rate, fastest decay first."""
-        order = sorted(range(len(self.lambdas)), key=lambda i: -self.lambdas[i])
-        return MixtureParams(
-            weights=tuple(self.weights[i] for i in order) + (self.weights[-1],),
-            lambdas=tuple(self.lambdas[i] for i in order),
-            alpha=self.alpha,
-        )
+        ParetoParams(self.alpha)  # the tail's own alpha check
 
     def as_arrays(self):
         m = np.asarray(self.weights, dtype=np.float64)
@@ -141,6 +132,14 @@ class BinnedSeries:
         h.update(np.float64(self.bin_seconds).tobytes())
         h.update(self.counts.tobytes())
         return h.hexdigest()
+
+
+def as_series(series) -> BinnedSeries:
+    """The one way in for counts: a BinnedSeries as it is, or raw counts
+    as a series of 1 s bins, checked by BinnedSeries."""
+    if isinstance(series, BinnedSeries):
+        return series
+    return BinnedSeries(np.asarray(series), bin_seconds=1.0)
 
 
 def check_compat(spec: ModelSpec, params: MixtureParams) -> None:
@@ -201,17 +200,11 @@ def aggregate_counts(counts: np.ndarray, x_min: int):
 
 
 def log_likelihood(series, spec: ModelSpec, params: MixtureParams) -> float:
-    """Total log-likelihood of a series (or raw count array) under the model."""
-    check_compat(spec, params)
-    counts = series.counts if isinstance(series, BinnedSeries) else series
-    values, mult = aggregate_counts(counts, spec.x_min)
-    m, lam = params.as_arrays()
-    z, dz = kernels.zeta_pair(params.alpha, float(spec.x_min))
-    ll, _, _, _ = kernels.mix_loglik_grad(
-        values, np.log(values), mult, m, lam, params.alpha, float(spec.x_min),
-        z, dz,
-    )
-    return float(ll)
+    """Total log-likelihood of a series (or raw counts, see as_series):
+    the log density at each unique count, summed over the multiplicities
+    as the fit sums them, so it equals a fit's loglik bit for bit."""
+    values, mult = aggregate_counts(as_series(series).counts, spec.x_min)
+    return float(kernels._dot_wt(mixture_log_pmf(values, spec, params), mult))
 
 
 def tail_threshold(spec: ModelSpec, params: MixtureParams) -> int:

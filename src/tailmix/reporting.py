@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +33,7 @@ class RunManifest:
     inputs: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "tool": "tailmix",
-            "version": __version__,
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "config": dict(self.config),
-            "inputs": [dict(i) for i in self.inputs],
-        }
+        return {"tool": "tailmix", "version": __version__, **asdict(self)}
 
 
 def describe_input(path) -> dict:
@@ -63,16 +56,12 @@ def jsonable(obj):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
     return obj
 
 
@@ -97,11 +86,7 @@ def serialize_fitted(model: FittedModel) -> dict:
         "x_min": model.spec.x_min,
         "exp_mode": model.spec.exp_mode,
         "dof": model.spec.dof,
-        "params": {
-            "weights": list(model.params.weights),
-            "lambdas": list(model.params.lambdas),
-            "alpha": model.params.alpha,
-        },
+        "params": asdict(model.params),
         "loglik": model.loglik,
         "bic": model.bic,
         "n": model.n,
@@ -114,16 +99,10 @@ def serialize_selection(sel: SelectionResult) -> dict:
     strengths = {}
     for base in ("log10", "natural"):
         for cmp_name, st in sel.strengths(base).items():
-            strengths.setdefault(cmp_name, {})[base] = {
-                "label": st.label,
-                "sign": st.sign,
-            }
+            strengths.setdefault(cmp_name, {})[base] = st._asdict()
+    # every field of the result, with its models serialized
     return {
-        "chosen": sel.chosen,
-        "threshold": sel.threshold,
-        "log_bf_ep_p": sel.log_bf_ep_p,
-        "log_bf_eep_ep": sel.log_bf_eep_ep,
-        "eep_failure": sel.eep_failure,
+        **{f.name: getattr(sel, f.name) for f in fields(sel)},
         "strengths": strengths,
         "models": {label: serialize_fitted(m) for label, m in sel.models.items()},
     }

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ContractError, DomainError, TailmixError
-# bic lives in fit; it is imported here so select.bic keeps working
-from .fit import FitConfig, FittedModel, bic, fit_model, fit_models
+from .fit import FitConfig, FittedModel, fit_model, fit_models
 from .mixture import ModelSpec
 
 # Accept the larger nested model only above this natural-log Bayes

@@ -275,6 +275,25 @@ class TestFitSelectCommand:
         name = "sim-ep-n1500.fit-report.json"
         assert (out / name).read_bytes() == (alone / name).read_bytes()
 
+    @pytest.mark.parametrize("value, shown", [('"abc"', "'abc'"), ("null", "None")])
+    def test_directory_mode_reports_a_malformed_header_on_its_row(
+            self, series_file, tmp_path, capsys, value, shown):
+        bad = series_file.parent / "bad.series"
+        bad.write_text(f'#{{"bin_seconds": {value}, "source_id": "x", "n": 2}}\n1\n2\n')
+        out = tmp_path / "fits"
+        rc = main(["fit-select", "--input", str(series_file.parent),
+                   "--restarts", "4", "--seed", "5", "--out-dir", str(out)])
+        assert rc == 1
+        msg = f"{bad}: header bin_seconds must be a number, got {shown}"
+        assert capsys.readouterr().err.startswith(f"error: bad.series: {msg}\n")
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["file"] for r in rows] == ["bad.series", "sim-ep-n1500.series"]
+        assert rows[0]["error"] == msg
+        assert rows[1]["error"] == ""
+        assert rows[1]["chosen"] == "EP"
+        assert (out / "sim-ep-n1500.fit-report.json").exists()
+
     def test_directory_mode_equals_per_file_runs(self, series_file, tmp_path,
                                                  capsys):
         # the series of a directory are fitted together; every output

@@ -10,12 +10,19 @@ from tailmix.fit import (
     FitConfig,
     FittedModel,
     fit_model,
+    fit_models,
     random_init,
     slack_system,
     theta_to_params,
 )
 from tailmix import fit as fit_module
-from tailmix.mixture import MixtureParams, ModelSpec, aggregate_counts, sample_mixture
+from tailmix.mixture import (
+    MixtureParams,
+    ModelSpec,
+    aggregate_counts,
+    log_likelihood,
+    sample_mixture,
+)
 from tailmix.seeding import substream
 
 P, EP, EEP = ModelSpec(0), ModelSpec(1), ModelSpec(2)
@@ -164,10 +171,15 @@ class TestFitModel:
         assert fm.data_fingerprint == series.fingerprint()
 
     def test_eep_params_come_out_canonical(self):
+        # no sort after the fit: the slack system keeps every iterate at
+        # rate1 > rate2, so the returned point satisfies it strictly
         truth = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
         sample = sample_mixture(EEP, truth, 3000, seed=9)
         fm = fit_model(sample, EEP, FitConfig(restarts=5, seed=4))
-        assert fm.params.lambdas[0] >= fm.params.lambdas[1]
+        theta = np.array([*fm.params.weights[:2], *fm.params.lambdas, fm.params.alpha])
+        a, b = slack_system(EEP)
+        assert (a @ theta + b > 0.0).all()  # the last slack is rate1 - rate2
+        assert fm.params.lambdas[0] > fm.params.lambdas[1]
         assert sum(fm.params.weights) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("restarts", [0, -2])
@@ -279,6 +291,43 @@ class TestFitModel:
         assert sample.min() >= 3
         fm = fit_model(sample, spec, FitConfig(restarts=4, seed=2))
         assert fm.params.alpha == pytest.approx(2.0, abs=0.3)
+
+
+class TestReportedLoglik:
+    """A fit's reported loglik is log_likelihood at its params, exactly:
+    the fit and the density sum the same log densities the same way."""
+
+    TRUTH = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
+
+    def samples(self, x_min):
+        spec = ModelSpec(2, x_min=x_min)
+        return [sample_mixture(spec, self.TRUTH, n, seed=s)
+                for n, s in ((600, 21), (1500, 22))]
+
+    @staticmethod
+    def check(series, model):
+        assert log_likelihood(series, model.spec, model.params) == model.loglik
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    def test_fit_model_and_fit_models(self, x_min):
+        samples = self.samples(x_min)
+        cfgs = [FitConfig(restarts=3, seed=s) for s in (5, 6)]
+        for n_exp in (0, 1, 2):
+            spec = ModelSpec(n_exp, x_min=x_min)
+            self.check(samples[0], fit_model(samples[0], spec, cfgs[0]))
+            for sample, model in zip(samples, fit_models(samples, spec, cfgs)):
+                self.check(sample, model)
+
+    def test_select_many(self):
+        from tailmix.select import select_many
+
+        samples = self.samples(1)
+        cfgs = [FitConfig(restarts=3, seed=s) for s in (5, 6)]
+        sels = select_many(samples, cfgs, eep_always=True)
+        for sample, sel in zip(samples, sels):
+            assert set(sel.models) == {"P", "EP", "EEP"}
+            for model in sel.models.values():
+                self.check(sample, model)
 
 
 class TestLockstep:

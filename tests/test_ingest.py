@@ -368,6 +368,29 @@ class TestSeriesFile:
         p.write_text('#{"bin_seconds": 4, "source_id": "a", "n": 3}\n1\n2\n')
         with pytest.raises(DataError, match="n=3"):
             read_series_file(p)
+        # each header field is checked before it is used
+        for head, match in [
+            ('"bin_seconds source_id n"', "must be a JSON object, got str"),
+            ('["bin_seconds", "source_id", "n"]', "must be a JSON object, got list"),
+            ('{"bin_seconds": "abc", "source_id": "x", "n": 2}',
+             "bin_seconds must be a number, got 'abc'"),
+            ('{"bin_seconds": null, "source_id": "x", "n": 2}',
+             "bin_seconds must be a number, got None"),
+            ('{"bin_seconds": true, "source_id": "x", "n": 2}',
+             "bin_seconds must be a number, got True"),
+            ('{"bin_seconds": 4, "source_id": "x", "n": "2"}',
+             "n must be a non-negative integer, got '2'"),
+            ('{"bin_seconds": 4, "source_id": "x", "n": 2.0}',
+             "n must be a non-negative integer, got 2.0"),
+            ('{"bin_seconds": 4, "source_id": "x", "n": -1}',
+             "n must be a non-negative integer, got -1"),
+            ('{"bin_seconds": 4, "source_id": "x", "n": true}',
+             "n must be a non-negative integer, got True"),
+        ]:
+            p.write_text(f"#{head}\n1\n2\n")
+            want = re.escape(f"{p}: header {match}")
+            with pytest.raises(DataError, match=f"^{want}$"):
+                read_series_file(p)
 
     def test_infinite_bin_seconds_rejected(self, tmp_path):
         p = tmp_path / "x.series"

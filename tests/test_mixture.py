@@ -9,6 +9,7 @@ from tailmix.mixture import (
     BinnedSeries,
     MixtureParams,
     ModelSpec,
+    as_series,
     component_log_pmfs,
     log_likelihood,
     mixture_log_pmf,
@@ -51,13 +52,6 @@ class TestMixtureParams:
             MixtureParams((0.5, 0.5), (-0.2,), 1.6)
         with pytest.raises(DomainError):
             MixtureParams((0.5, 0.5), (0.2,), 1.0)
-
-    def test_canonical_orders_rates_descending(self):
-        swapped = MixtureParams((0.4, 0.3, 0.3), (0.15, 1.5), 1.6)
-        canon = swapped.canonical()
-        assert canon.lambdas == (1.5, 0.15)
-        assert canon.weights == (0.3, 0.4, 0.3)
-        assert canon.alpha == swapped.alpha
 
     def test_loglik_invariant_under_component_relabeling(self):
         a = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
@@ -117,6 +111,25 @@ class TestDensities:
             log_likelihood(np.array([3, 1, 0, 5]), EP, params)
         with pytest.raises(DataError, match="empty"):
             log_likelihood(np.array([], dtype=np.int64), EP, params)
+
+    @pytest.mark.parametrize("counts", [[1.5, 2, 3], np.ones((2, 3), dtype=int)],
+                             ids=["non-integer", "2-d"])
+    def test_log_likelihood_takes_counts_as_the_fit_does(self, counts):
+        from tailmix.fit import FitConfig, fit_model
+
+        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        with pytest.raises(DataError) as fit_info:
+            fit_model(counts, EP, FitConfig(restarts=2, seed=1))
+        with pytest.raises(DataError) as ll_info:
+            log_likelihood(counts, EP, params)
+        assert str(ll_info.value) == str(fit_info.value)
+
+    def test_as_series_passes_a_series_through(self):
+        series = BinnedSeries(np.array([3, 1, 4]), bin_seconds=8.0, source_id="s")
+        assert as_series(series) is series
+        raw = as_series([3, 1, 4])
+        assert raw.bin_seconds == 1.0
+        np.testing.assert_array_equal(raw.counts, [3, 1, 4])
 
 
 class TestResponsibilities:

@@ -8,12 +8,11 @@ import pytest
 import frozen_values as fv
 from tailmix import select as select_module
 from tailmix.errors import ContractError, DataError, DomainError, FitError
-from tailmix.fit import FitConfig, FittedModel, fit_model
+from tailmix.fit import FitConfig, FittedModel, bic, fit_model
 from tailmix.reporting import canonical_json, serialize_selection
 from tailmix.mixture import MixtureParams, ModelSpec, sample_mixture
 from tailmix.select import (
     SelectionResult,
-    bic,
     log_bayes_factor,
     select_many,
     select_nested,
