@@ -73,11 +73,22 @@ def _parse_numbers(text, kind=float):
         raise DataError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _write_with_runtime(path, report, started):
-    write_report(path, report)
-    sidecar = Path(str(path) + ".runtime.json")
-    sidecar.write_text(
-        f'{{"wall_seconds":{time.time() - started:.6f}}}\n', encoding="utf-8"
+def _output(args, name) -> Path:
+    """The path of output file name in --out-dir. Every write goes
+    through here, so --out-dir is made at a command's first write and a
+    command that fails before it writes leaves nothing behind."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _write_with_runtime(args, name, manifest, results):
+    """Write the report of manifest's subcommand to name, and beside it
+    a .runtime.json sidecar with the wall time since the run started."""
+    path = _output(args, name)
+    write_report(path, build_report(manifest, results))
+    Path(str(path) + ".runtime.json").write_text(
+        f'{{"wall_seconds":{time.time() - args.started:.6f}}}\n', encoding="utf-8"
     )
 
 
@@ -96,7 +107,6 @@ def _fit_flags(parser):
 
 
 def _cmd_bin(args):
-    started = time.time()
     windows = _parse_numbers(args.windows) if args.windows else STANDARD_WINDOWS
     check_windows(windows)
     flow_path = Path(args.input)
@@ -106,12 +116,10 @@ def _cmd_bin(args):
         times, windows, uptime=uptime, drop_zeros=args.drop_zeros,
         source_id=flow_path.stem,
     )
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = []
     for w, series in series_map.items():
         name = f"{flow_path.stem}.w{w:g}.series"
-        write_series_file(out_dir / name, series)
+        write_series_file(_output(args, name), series)
         results.append({"window_seconds": w, "file": name, "n": series.n,
                         "meta": series.meta})
     inputs = [describe_input(flow_path)]
@@ -123,9 +131,9 @@ def _cmd_bin(args):
         config={"windows": list(windows), "drop_zeros": args.drop_zeros},
         inputs=tuple(inputs),
     )
-    report = build_report("bin", manifest, results)
-    _write_with_runtime(out_dir / f"{flow_path.stem}.bin-report.json", report, started)
-    print(f"binned {times.size} flows at {len(windows)} window sizes -> {out_dir}")
+    _write_with_runtime(args, f"{flow_path.stem}.bin-report.json", manifest, results)
+    print(f"binned {times.size} flows at {len(windows)} window sizes "
+          f"-> {Path(args.out_dir)}")
     return 0
 
 
@@ -133,12 +141,12 @@ def _walk_args(args) -> dict:
     return {"x_min": args.x_min, "threshold": args.threshold}
 
 
-def _selection_report(kind, path, series, sel, args, config):
+def _selection_report(path, series, sel, args, config):
     """Start the report of one selection: (manifest, results), where
     results holds the fields that fit-select and classify reports
     share."""
     manifest = RunManifest(
-        subcommand=kind, seed=config.seed,
+        subcommand=args.subcommand, seed=config.seed,
         config={
             "restarts": config.restarts,
             "threshold": args.threshold,
@@ -162,34 +170,20 @@ SUMMARY_FIELDS = (
 )
 
 
-def _read_all(files, directory):
-    """Each file's series, or in directory mode the TailmixError reading
-    it raised."""
-    out = []
-    for path in files:
-        try:
-            out.append(read_series_file(path))
-        except TailmixError as exc:
-            if not directory:
-                raise
-            out.append(exc)
-    return out
-
-
 def _cmd_fit_select(args):
-    started = time.time()
     in_path = Path(args.input)
     config = _fit_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     directory = in_path.is_dir()
-    if directory:
-        files = sorted(in_path.glob("*.series"))
-        if not files:
-            raise DataError(f"{in_path}: no .series files")
-    else:
-        files = [in_path]
-    loaded = _read_all(files, directory)
+    # a file is a directory of one, without the summary
+    files = sorted(in_path.glob("*.series")) if directory else [in_path]
+    if not files:
+        raise DataError(f"{in_path}: no .series files")
+    loaded = []
+    for path in files:
+        try:
+            loaded.append(read_series_file(path))
+        except TailmixError as exc:
+            loaded.append(exc)
     read = [i for i, s in enumerate(loaded) if isinstance(s, BinnedSeries)]
     # every series walks the ladder together, rung by rung
     sels = dict(zip(read, select_many(
@@ -201,21 +195,15 @@ def _cmd_fit_select(args):
         # a file that could not be read has its error for a selection
         series, sel = loaded[i], sels.get(i, loaded[i])
         if isinstance(sel, TailmixError):
-            # in directory mode one bad series must not cost the others
-            if not directory:
-                raise sel
+            # one bad series must not cost the others
             n_failed += 1
             print(f"error: {path.name}: {sel}", file=sys.stderr)
             rows.append({"file": path.name, "error": str(sel)})
             continue
-        manifest, results = _selection_report(
-            "fit-select", path, series, sel, args, config
-        )
-        report = build_report("fit-select", manifest, results)
+        manifest, results = _selection_report(path, series, sel, args, config)
         # the series are fitted together, so a report's sidecar holds the
         # wall time from the start of the run to its write
-        _write_with_runtime(out_dir / f"{path.stem}.fit-report.json", report,
-                            started)
+        _write_with_runtime(args, f"{path.stem}.fit-report.json", manifest, results)
         chosen = sel.chosen_model
         rows.append({
             "file": path.name,
@@ -234,27 +222,22 @@ def _cmd_fit_select(args):
         print(f"{path.name}: chose {sel.chosen} "
               f"(ln BF EP,P = {sel.log_bf_ep_p:.2f})")
     if directory:
-        csv_path = out_dir / "summary.csv"
+        csv_path = _output(args, "summary.csv")
         with csv_path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS, restval="")
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote {csv_path} ({len(rows)} series, {n_failed} failed)")
-    print(f"done in {time.time() - started:.1f}s")
+    print(f"done in {time.time() - args.started:.1f}s")
     return 1 if n_failed else 0
 
 
 def _cmd_classify(args):
-    started = time.time()
     in_path = Path(args.input)
     config = _fit_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     series = read_series_file(in_path)
     sel = select_nested(series, config, **_walk_args(args))
-    manifest, results = _selection_report(
-        "classify", in_path, series, sel, args, config
-    )
+    manifest, results = _selection_report(in_path, series, sel, args, config)
     chosen = sel.chosen_model
     x_star = tail_threshold(chosen.spec, chosen.params)
     values, counts = np.unique(series.counts, return_counts=True)
@@ -272,16 +255,14 @@ def _cmd_classify(args):
         tail_bin_fraction=n_tail / series.n,
         per_value=per_value,
     )
-    report = build_report("classify", manifest, results)
-    _write_with_runtime(out_dir / f"{in_path.stem}.classify-report.json",
-                        report, started)
+    _write_with_runtime(args, f"{in_path.stem}.classify-report.json",
+                        manifest, results)
     print(f"{in_path.name}: model {sel.chosen}, tail regime starts at "
           f"count {x_star} ({n_tail}/{series.n} bins)")
     return 0
 
 
 def _cmd_simulate(args):
-    started = time.time()
     n_exp = LABELS.index(args.model)
     weights = _parse_numbers(args.weights) if args.weights else None
     lambdas = _parse_numbers(args.lambdas) if args.lambdas else ()
@@ -293,12 +274,10 @@ def _cmd_simulate(args):
     spec = ModelSpec(n_exp, x_min=args.x_min)
     seed = _resolve_seed(args.seed)
     sample = sample_mixture(spec, params, args.n, seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = args.out or f"sim-{args.model.lower()}-n{args.n}.series"
     series = BinnedSeries(sample, bin_seconds=args.bin_seconds,
                           source_id=Path(name).stem)
-    out_path = out_dir / name
+    out_path = _output(args, name)
     write_series_file(out_path, series)
     manifest = RunManifest(
         subcommand="simulate", seed=seed,
@@ -314,25 +293,20 @@ def _cmd_simulate(args):
         },
     )
     results = {"file": out_path.name, "output": describe_input(out_path)}
-    report = build_report("simulate", manifest, results)
-    _write_with_runtime(out_dir / f"{Path(name).stem}.sim-report.json",
-                        report, started)
+    _write_with_runtime(args, f"{Path(name).stem}.sim-report.json",
+                        manifest, results)
     print(f"wrote {out_path} (n={args.n}, model {args.model})")
     return 0
 
 
 def _cmd_validate(args):
-    started = time.time()
     seed = _resolve_seed(args.seed)
     report_body = run_preset(args.preset, seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         subcommand="validate", seed=seed, config={"preset": args.preset},
     )
-    report = build_report("validate", manifest, report_body)
-    _write_with_runtime(out_dir / f"{args.preset}-report.json", report, started)
-    csv_path = out_dir / f"{args.preset}-records.csv"
+    _write_with_runtime(args, f"{args.preset}-report.json", manifest, report_body)
+    csv_path = _output(args, f"{args.preset}-records.csv")
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if report_body["study"] == "alpha-recovery":
@@ -354,7 +328,7 @@ def _cmd_validate(args):
                 print(f"{row['row_id']}: {state}")
     overall = report_body["gates"]["pass"]
     print(f"{args.preset}: {'PASS' if overall else 'FAIL'} "
-          f"({time.time() - started:.1f}s)")
+          f"({time.time() - args.started:.1f}s)")
     return 0
 
 
@@ -417,14 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
-    except TailmixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TailmixError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

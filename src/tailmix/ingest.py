@@ -187,7 +187,7 @@ def bin_at_windows(
     series = {}
     below = None  # (window, k0, counts) of the last window counted
     for w in sorted({float(w) for w in windows}):
-        if below is not None and below[0] == w / 2 and _doubling_exact(times, lo, hi, w):
+        if below is not None and below[0] == w / 2 and _doubling_exact(lo, hi, w):
             k0, counts = _pair_sums(*below[1:])
         else:
             k0, counts = _count(times, lo, hi, w)
@@ -196,17 +196,12 @@ def bin_at_windows(
     return {w: series[float(w)] for w in windows}
 
 
-def _doubling_exact(times, lo, hi, w) -> bool:
+def _doubling_exact(lo, hi, w) -> bool:
     """Whether bin floor(t / w) is floor(t / (w/2)) // 2 for every t:
-    the indices at w/2 fit in int64 with room to spare, and no negative
-    t / w is so close to 0 that it leaves the normal range, where halving
-    can round it to -0.0."""
-    if max(-lo, hi) / w >= 2.0**61:
-        return False
-    if lo >= 0.0:
-        return True
-    top = max(float(np.max(c, where=c < 0.0, initial=-np.inf)) for c in _chunks(times))
-    return -top / w >= np.finfo(float).tiny
+    no t is negative, since halving a negative t / w that is near 0 can
+    round it to -0.0, and the indices at w/2 fit in int64 with room to
+    spare. A trace with a negative time is counted at each window."""
+    return lo >= 0.0 and hi / w < 2.0**61
 
 
 def check_windows(windows):
@@ -346,10 +341,14 @@ def read_series_file(path) -> BinnedSeries:
         for key in ("bin_seconds", "source_id", "n"):
             if key not in head:
                 raise DataError(f"{path}: header missing {key!r}")
-        bin_seconds, n = head["bin_seconds"], head["n"]
+        bin_seconds, source_id, n = head["bin_seconds"], head["source_id"], head["n"]
         if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, (int, float)):
             raise DataError(
                 f"{path}: header bin_seconds must be a number, got {bin_seconds!r}"
+            )
+        if not isinstance(source_id, str):
+            raise DataError(
+                f"{path}: header source_id must be a string, got {source_id!r}"
             )
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise DataError(
@@ -362,11 +361,11 @@ def read_series_file(path) -> BinnedSeries:
             counts = counts[:, 0]
     if len(counts) != n:
         raise DataError(f"{path}: header says n={n} but found {len(counts)} counts")
-    return BinnedSeries(
-        np.asarray(counts, dtype=np.int64),
-        bin_seconds=float(bin_seconds),
-        source_id=str(head["source_id"]),
-    )
+    try:
+        return BinnedSeries(np.asarray(counts, dtype=np.int64),
+                            bin_seconds=float(bin_seconds), source_id=source_id)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _counts_by_line(fh, path) -> list:

@@ -20,8 +20,6 @@ from . import __version__
 from .fit import FittedModel
 from .select import SelectionResult
 
-REPORT_KINDS = ("bin", "fit-select", "classify", "simulate", "validate")
-
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -70,10 +68,11 @@ def canonical_json(report: dict) -> str:
                       allow_nan=False)
 
 
-def build_report(kind: str, manifest: RunManifest, results) -> dict:
-    if kind not in REPORT_KINDS:
-        raise ValueError(f"unknown report kind {kind!r}")
-    return {"kind": kind, "manifest": manifest.to_dict(), "results": results}
+def build_report(manifest: RunManifest, results) -> dict:
+    """A report of manifest's subcommand; docs/report-schema.json lists
+    the kinds."""
+    return {"kind": manifest.subcommand, "manifest": manifest.to_dict(),
+            "results": results}
 
 
 def write_report(path, report: dict) -> None:

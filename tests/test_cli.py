@@ -403,7 +403,8 @@ class TestFitSelectCommand:
                    "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:")
+        # a file fails as it would in a directory of one
+        assert err.startswith("error: flat.series: ")
         assert "at least 2 distinct counts" in err
 
     def test_seed_env_variable_used(self, series_file, tmp_path, monkeypatch):
@@ -427,6 +428,20 @@ class TestFitSelectCommand:
         assert "wall_seconds" in json.loads(sidecar.read_text())
         report = json.loads((out / "sim-ep-n1500.fit-report.json").read_text())
         assert "wall_seconds" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("command", ["fit-select", "classify"])
+@pytest.mark.parametrize("flat", [False, True], ids=["missing", "one-value"])
+def test_fit_commands_fail_before_any_output(command, flat, tmp_path, capsys):
+    path = tmp_path / "flat.series"
+    if flat:
+        write_series_file(path, BinnedSeries(np.full(50, 4), bin_seconds=8.0))
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(path), "--restarts", "2",
+               "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 class TestClassifyCommand:

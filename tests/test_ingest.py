@@ -378,6 +378,10 @@ class TestSeriesFile:
              "bin_seconds must be a number, got None"),
             ('{"bin_seconds": true, "source_id": "x", "n": 2}',
              "bin_seconds must be a number, got True"),
+            ('{"bin_seconds": 4, "source_id": null, "n": 2}',
+             "source_id must be a string, got None"),
+            ('{"bin_seconds": 4, "source_id": 7, "n": 2}',
+             "source_id must be a string, got 7"),
             ('{"bin_seconds": 4, "source_id": "x", "n": "2"}',
              "n must be a non-negative integer, got '2'"),
             ('{"bin_seconds": 4, "source_id": "x", "n": 2.0}',
@@ -391,6 +395,11 @@ class TestSeriesFile:
             want = re.escape(f"{p}: header {match}")
             with pytest.raises(DataError, match=f"^{want}$"):
                 read_series_file(p)
+        # the series' own checks name the file too
+        p.write_text('#{"bin_seconds": -4.0, "source_id": "x", "n": 2}\n1\n2\n')
+        want = re.escape(f"{p}: bin_seconds must be positive and finite, got -4.0")
+        with pytest.raises(DataError, match=f"^{want}$"):
+            read_series_file(p)
 
     def test_infinite_bin_seconds_rejected(self, tmp_path):
         p = tmp_path / "x.series"
@@ -599,7 +608,7 @@ class TestChunkEdges:
                                           spans, with_uptime):
         check_bin_flows_equals_dict_oracle(times, w, drop, spans, with_uptime)
 
-    def test_underflow_search_reads_every_chunk(self, small_chunks):
+    def test_negative_times_in_any_chunk_are_counted_per_window(self, small_chunks):
         # the negative time nearest 0, whose halving underflows, comes
         # last, after a chunk that holds an ordinary negative time
         times = [-5.0] + [1.0] * 6 + [-(2.0**-1072)]

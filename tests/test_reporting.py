@@ -4,7 +4,6 @@ import hashlib
 import json
 
 import numpy as np
-import pytest
 
 from tailmix.reporting import (
     RunManifest,
@@ -59,7 +58,8 @@ class TestManifest:
         assert d["path"] == "x.bin"
         assert d["sha256"] == hashlib.sha256(b"hello").hexdigest()
 
-    def test_build_report_rejects_unknown_kind(self):
-        m = RunManifest(subcommand="bin", seed=4, config={})
-        with pytest.raises(ValueError):
-            build_report("mystery", m, {})
+    def test_build_report_takes_its_kind_from_the_manifest(self):
+        m = RunManifest(subcommand="classify", seed=4, config={})
+        report = build_report(m, {"n": 3})
+        assert report == {"kind": "classify", "manifest": m.to_dict(),
+                          "results": {"n": 3}}
