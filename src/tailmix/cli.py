@@ -182,7 +182,8 @@ def _cmd_fit_select(args):
     for path in files:
         try:
             loaded.append(read_series_file(path))
-        except TailmixError as exc:
+        except (TailmixError, OSError) as exc:
+            # an entry that cannot be opened costs only its own row
             loaded.append(exc)
     read = [i for i, s in enumerate(loaded) if isinstance(s, BinnedSeries)]
     # every series walks the ladder together, rung by rung
@@ -194,7 +195,7 @@ def _cmd_fit_select(args):
     for i, path in enumerate(files):
         # a file that could not be read has its error for a selection
         series, sel = loaded[i], sels.get(i, loaded[i])
-        if isinstance(sel, TailmixError):
+        if isinstance(sel, Exception):
             # one bad series must not cost the others
             n_failed += 1
             print(f"error: {path.name}: {sel}", file=sys.stderr)

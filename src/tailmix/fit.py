@@ -318,14 +318,19 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     One call of ``fun`` evaluates every starting point. Each live
     restart then runs one stage of damped Newton steps with Armijo
     backtracking per weight in BARRIER_WEIGHTS, warm-started from the
-    last and opened, as soon as the last ends, by reweighting the barrier
-    term from the raw values stored at its iterate. Each round evaluates
-    one line-search trial for every restart still in a stage; trial
-    points outside the feasible set are skipped by ``_feasible_steps``.
-    With ``raw_first_step`` (EP fits) the first step is the raw gradient,
-    unit step on the unscaled objective, as BFGS's first step was: a long
-    move that reaches optima (a slow component of small weight) that
-    Newton steps from the start miss.
+    last. A stage opens by reweighting the barrier term from the raw
+    values stored at the restart's iterate, and the next one opens as
+    soon as the last ends, in the same round.
+
+    The loop runs one round per pass over the active rows, those live
+    with a stage left. A round finds each row's feasible trial step
+    (``_feasible_steps`` skips trial points outside the feasible set),
+    evaluates every trial in one call of ``fun``, halves the step where
+    the Armijo test fails and moves where it passes; a moved row takes
+    its next Newton direction at once. With ``raw_first_step`` (EP
+    fits) the first step is the raw gradient, unit step on the unscaled
+    objective: a long move that reaches optima (a slow component of
+    small weight) that Newton steps from the start miss.
 
     A stage ends "converged" (Newton decrement lambda^2 / 2 at most
     NEWTON_TOL), "linesearch" (no acceptable step down to _MIN_STEP) or
@@ -345,45 +350,56 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     stage, it, iters = np.zeros((3, n_rows), dtype=np.int64)
     f, step, slope, decrement = np.zeros((4, n_rows))
     g, d = np.zeros((2, n_rows, dim))
-    in_stage = np.zeros(n_rows, dtype=bool)
     status = [[] for _ in range(n_rows)]
 
-    def begin_stage(rows):
-        """Reweight the barrier at the stored values; first iteration."""
+    def open_stage(rows):
+        """Reweight the barrier at the stored raw values: (rows, Hessians)."""
         raw = (x[rows], ll[rows], ll_grad[rows], ll_hess[rows], c[stage[rows]])
-        f[rows], g[rows], h_r = _barrier(a_mat, b_vec, *raw, n[rows])
+        f[rows], g[rows], h = _barrier(a_mat, b_vec, *raw, n[rows])
         it[rows] = 1
-        in_stage[rows] = True
-        begin_iteration(rows, g[rows], h_r)
+        return rows, h
 
     def end_stage(rows, name, done_iters):
+        """Record how the stage ended and open the next, where one is left."""
         iters[rows] += done_iters
         for r in rows.tolist():
             status[r].append(name)
-        in_stage[rows] = False
         stage[rows] += 1
         rows = rows[stage[rows] < c.size]
-        if rows.size:
-            begin_stage(rows)
+        # no barrier work for rows that have ended their last stage
+        return open_stage(rows) if rows.size else (rows, None)
 
-    def begin_iteration(rows, g_r, h_r):
-        """Top of a Newton iteration: direction, then decrement test."""
-        d_r = _newton_directions(g_r, h_r)
-        slope_r = _row_dot(d_r, g_r)
-        decrement[rows] = -0.5 * slope_r
-        done = decrement[rows] <= NEWTON_TOL
-        if done.any():
-            end_stage(rows[done], "converged", it[rows[done]] - 1)
-            rows, d_r, slope_r = rows[~done], d_r[~done], slope_r[~done]
-        d[rows] = d_r
-        slope[rows] = slope_r
-        step[rows] = 1.0
+    def direct(rows, h):
+        """Newton direction, decrement and unit step; rows whose decrement
+        passes end the stage and take the next stage's direction."""
+        while rows.size:
+            g_r = g[rows]
+            d[rows] = d_r = _newton_directions(g_r, h)
+            slope[rows] = slope_r = _row_dot(d_r, g_r)
+            decrement[rows] = dec = -0.5 * slope_r
+            step[rows] = 1.0
+            done = dec <= NEWTON_TOL
+            if not done.any():
+                break
+            rows, h = end_stage(rows[done], "converged", it[rows[done]] - 1)
 
-    def try_step(rows, x_new):
-        """Evaluate the trial points; Armijo test; move where it passes."""
-        new = fun(x_new, rows)
+    direct(*open_stage(live.nonzero()[0]))
+    if raw_first_step:
+        rows = (live & (stage == 0)).nonzero()[0]
+        d[rows] = -n[rows, None] * g[rows]
+        slope[rows] = _row_dot(d[rows], g[rows])
+    while (rows := (live & (stage < c.size)).nonzero()[0]).size:
+        found, trial_x = _feasible_steps(a_mat, b_vec, x[rows], d[rows], step[rows])
+        step[rows] = found
+        stuck = found == 0.0
+        if stuck.any():
+            direct(*end_stage(rows[stuck], "linesearch", it[rows[stuck]]))
+            rows, trial_x = rows[~stuck], trial_x[~stuck]
+        if not rows.size:
+            continue
+        new = fun(trial_x, rows)
         f_new, g_new, h_new = _barrier(
-            a_mat, b_vec, x_new, *new, c[stage[rows]], n[rows]
+            a_mat, b_vec, trial_x, *new, c[stage[rows]], n[rows]
         )
         accept = np.isfinite(f_new) & (
             f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
@@ -392,38 +408,17 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
             # a halved step below _MIN_STEP ends the stage in the next
             # round's _feasible_steps, with no further objective call
             step[rows[~accept]] *= 0.5
-            if not accept.any():
-                return
-            rows, x_new, f_new, g_new, h_new = (
-                rows[accept], x_new[accept], f_new[accept], g_new[accept], h_new[accept]
+            rows, trial_x, f_new, g_new, h_new, *new = (
+                v[accept] for v in (rows, trial_x, f_new, g_new, h_new, *new)
             )
-            new = [v[accept] for v in new]
-        x[rows] = x_new
-        f[rows] = f_new
-        g[rows] = g_new
+        x[rows], f[rows], g[rows] = trial_x, f_new, g_new
         ll[rows], ll_grad[rows], ll_hess[rows] = new
         capped = it[rows] >= MAX_INNER_ITERS
         if capped.any():
-            end_stage(rows[capped], "maxiter", it[rows[capped]])
-            rows, g_new, h_new = rows[~capped], g_new[~capped], h_new[~capped]
+            direct(*end_stage(rows[capped], "maxiter", it[rows[capped]]))
+            rows, h_new = rows[~capped], h_new[~capped]
         it[rows] += 1
-        begin_iteration(rows, g_new, h_new)
-
-    begin_stage(live.nonzero()[0])
-    if raw_first_step:
-        rows = (in_stage & (stage == 0)).nonzero()[0]
-        d[rows] = -n[rows, None] * g[rows]
-        slope[rows] = _row_dot(d[rows], g[rows])
-    while in_stage.any():
-        rows = in_stage.nonzero()[0]
-        found, trial_x = _feasible_steps(a_mat, b_vec, x[rows], d[rows], step[rows])
-        step[rows] = found
-        stuck = found == 0.0
-        if stuck.any():
-            end_stage(rows[stuck], "linesearch", it[rows[stuck]])
-            rows, trial_x = rows[~stuck], trial_x[~stuck]
-        if rows.size:
-            try_step(rows, trial_x)
+        direct(rows, h_new)
 
     loglik = np.where(live, ll, -np.inf)
     errors = [None if ok else "starting log-likelihood is not finite" for ok in live]

@@ -39,6 +39,11 @@ _CHUNK = 1 << 16
 _MAX_BINS = 1 << 25
 
 
+def _not_utf8(path) -> DataError:
+    """The error of a text file with a byte sequence that is not UTF-8."""
+    return DataError(f"{path}: not UTF-8 text")
+
+
 def _read_header(fh, path):
     """(delimiter, column names) from the header line: tab if it has one."""
     first = fh.readline()
@@ -74,18 +79,22 @@ def read_flow_file(path) -> np.ndarray:
     """Read flow start times (seconds) from a delimited text file.
 
     Blank and whitespace-only lines are skipped; a short row, a value that
-    is not a number and a non-finite value are DataErrors naming the line.
+    is not a number and a non-finite value are DataErrors naming the line,
+    and text that is not UTF-8 is a DataError naming the file.
     """
     path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        delim, header = _read_header(fh, path)
-        if "start_time" not in header:
-            raise DataError(f"{path}: header has no start_time column: {header}")
-        col = header.index("start_time")
-        times = _parse_body(path, delimiter=delim, quotechar='"', usecols=col,
-                            ndmin=1)
-        if times is None or not times.size or not np.isfinite(times).all():
-            times = _start_times_by_row(fh, path, delim, col)
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            delim, header = _read_header(fh, path)
+            if "start_time" not in header:
+                raise DataError(f"{path}: header has no start_time column: {header}")
+            col = header.index("start_time")
+            times = _parse_body(path, delimiter=delim, quotechar='"', usecols=col,
+                                ndmin=1)
+            if times is None or not times.size or not np.isfinite(times).all():
+                times = _start_times_by_row(fh, path, delim, col)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return times
 
 
@@ -110,24 +119,37 @@ def _start_times_by_row(fh, path, delim, col) -> np.ndarray:
 
 
 def read_uptime_file(path) -> list:
-    """Read measured intervals as (begin, end) second pairs, one per line."""
+    """Read measured intervals as (begin, end) second pairs, one per line.
+
+    Blank lines are skipped; a header that does not name begin and end, a row
+    without two numbers, an empty or reversed interval, overlapping
+    intervals, no intervals at all and text that is not UTF-8 are
+    DataErrors naming the file.
+    """
     path = Path(path)
     spans = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        delim, header = _read_header(fh, path)
-        if "begin" not in header or "end" not in header:
-            raise DataError(f"{path}: header must name begin and end: {header}")
-        bcol, ecol = header.index("begin"), header.index("end")
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                b, e = float(row[bcol]), float(row[ecol])
-            except (ValueError, IndexError):
-                raise DataError(f"{path}:{lineno}: bad interval row {row!r}") from None
-            if not (b < e):
-                raise DataError(f"{path}:{lineno}: interval must have begin < end")
-            spans.append((b, e))
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            delim, header = _read_header(fh, path)
+            if "begin" not in header or "end" not in header:
+                raise DataError(f"{path}: header must name begin and end: {header}")
+            bcol, ecol = header.index("begin"), header.index("end")
+            for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    b, e = float(row[bcol]), float(row[ecol])
+                except (ValueError, IndexError):
+                    raise DataError(
+                        f"{path}:{lineno}: bad interval row {row!r}"
+                    ) from None
+                if not (b < e):
+                    raise DataError(
+                        f"{path}:{lineno}: interval must have begin < end"
+                    )
+                spans.append((b, e))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if not spans:
         raise DataError(f"{path}: no intervals")
     spans.sort()
@@ -324,41 +346,52 @@ def write_series_file(path, series: BinnedSeries) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _series_header(first, path):
+    """(bin_seconds, source_id, n) from the first line of a series file."""
+    if not first.startswith("#"):
+        raise DataError(f"{path}: missing JSON header line")
+    try:
+        head = json.loads(first[1:])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: bad JSON header: {exc}") from None
+    if not isinstance(head, dict):
+        raise DataError(
+            f"{path}: header must be a JSON object, got {type(head).__name__}"
+        )
+    for key in ("bin_seconds", "source_id", "n"):
+        if key not in head:
+            raise DataError(f"{path}: header missing {key!r}")
+    bin_seconds, source_id, n = head["bin_seconds"], head["source_id"], head["n"]
+    if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, (int, float)):
+        raise DataError(
+            f"{path}: header bin_seconds must be a number, got {bin_seconds!r}"
+        )
+    if not isinstance(source_id, str):
+        raise DataError(
+            f"{path}: header source_id must be a string, got {source_id!r}"
+        )
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise DataError(
+            f"{path}: header n must be a non-negative integer, got {n!r}"
+        )
+    return bin_seconds, source_id, n
+
+
 def read_series_file(path) -> BinnedSeries:
+    """Read a series written by write_series_file. A malformed header,
+    a bad count line, a count of lines other than the header's n and
+    text that is not UTF-8 are DataErrors naming the file."""
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise DataError(f"{path}: missing JSON header line")
-        try:
-            head = json.loads(first[1:])
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: bad JSON header: {exc}") from None
-        if not isinstance(head, dict):
-            raise DataError(
-                f"{path}: header must be a JSON object, got {type(head).__name__}"
-            )
-        for key in ("bin_seconds", "source_id", "n"):
-            if key not in head:
-                raise DataError(f"{path}: header missing {key!r}")
-        bin_seconds, source_id, n = head["bin_seconds"], head["source_id"], head["n"]
-        if isinstance(bin_seconds, bool) or not isinstance(bin_seconds, (int, float)):
-            raise DataError(
-                f"{path}: header bin_seconds must be a number, got {bin_seconds!r}"
-            )
-        if not isinstance(source_id, str):
-            raise DataError(
-                f"{path}: header source_id must be a string, got {source_id!r}"
-            )
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise DataError(
-                f"{path}: header n must be a non-negative integer, got {n!r}"
-            )
-        counts = _parse_body(path, dtype=np.int64, ndmin=2)
-        if counts is None or not counts.size or counts.shape[1] != 1:
-            counts = _counts_by_line(fh, path)
-        else:
-            counts = counts[:, 0]
+    try:
+        with path.open(encoding="utf-8") as fh:
+            bin_seconds, source_id, n = _series_header(fh.readline(), path)
+            counts = _parse_body(path, dtype=np.int64, ndmin=2)
+            if counts is None or not counts.size or counts.shape[1] != 1:
+                counts = _counts_by_line(fh, path)
+            else:
+                counts = counts[:, 0]
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     if len(counts) != n:
         raise DataError(f"{path}: header says n={n} but found {len(counts)} counts")
     try:

@@ -14,9 +14,9 @@ import pytest
 from tailmix import __version__, cli
 from tailmix.cli import main
 from tailmix.errors import FitError
-from tailmix.experiments import PRESETS, RecoveryPlan
+from tailmix.experiments import PRESETS, RecoveryPlan, SelectionPlan, SelectionRow
 from tailmix.ingest import read_series_file, write_series_file
-from tailmix.mixture import BinnedSeries
+from tailmix.mixture import BinnedSeries, MixtureParams
 from tailmix.seeding import DEFAULT_SEED
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +126,23 @@ class TestBinCommand:
         err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
                                             monkeypatch, windows)
         assert message in err
+
+    def test_bin_window_that_is_not_a_number_fails_before_reading(
+            self, flow_file, tmp_path, capsys, monkeypatch):
+        err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
+                                            monkeypatch, "8,x")
+        assert err == "error: expected comma-separated numbers, got '8,x'\n"
+
+    def test_bin_flow_file_that_is_not_utf8_writes_nothing(self, flow_file,
+                                                          tmp_path, capsys):
+        with flow_file.open("ab") as fh:
+            fh.write(b"f9,\xff,1\n")
+        out = tmp_path / "out"
+        rc = main(["bin", "--input", str(flow_file), "--windows", "8",
+                   "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flow_file}: not UTF-8 text\n"
+        assert not out.exists()
 
     def test_bin_span_past_the_bin_cap_writes_nothing(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"
@@ -293,6 +310,33 @@ class TestFitSelectCommand:
         assert rows[1]["error"] == ""
         assert rows[1]["chosen"] == "EP"
         assert (out / "sim-ep-n1500.fit-report.json").exists()
+
+    @pytest.mark.parametrize("entry", ["directory", "not-utf8"])
+    def test_directory_mode_keeps_an_unreadable_entry_on_its_row(
+            self, series_file, tmp_path, capsys, entry):
+        odd = series_file.parent / "odd.series"
+        if entry == "directory":
+            odd.mkdir()
+            msg = f"[Errno 21] Is a directory: '{odd}'"
+        else:
+            odd.write_bytes(b'#{"bin_seconds": 4, "source_id": "\xff", "n": 1}\n1\n')
+            msg = f"{odd}: not UTF-8 text"
+        out = tmp_path / "fits"
+        rc = main(["fit-select", "--input", str(series_file.parent),
+                   "--restarts", "4", "--seed", "5", "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: odd.series: {msg}\n"
+        with (out / "summary.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["file"] for r in rows] == ["odd.series", "sim-ep-n1500.series"]
+        assert rows[0]["error"] == msg
+        assert rows[1]["error"] == "" and rows[1]["chosen"] == "EP"
+        # the good series gets the report it gets when fitted alone
+        alone = tmp_path / "alone"
+        assert main(["fit-select", "--input", str(series_file), "--restarts", "4",
+                     "--seed", "5", "--out-dir", str(alone)]) == 0
+        name = "sim-ep-n1500.fit-report.json"
+        assert (out / name).read_bytes() == (alone / name).read_bytes()
 
     def test_directory_mode_equals_per_file_runs(self, series_file, tmp_path,
                                                  capsys):
@@ -501,3 +545,34 @@ class TestValidateCommand:
         assert csv_text.splitlines()[0] == "alpha,replicate,estimator,estimate"
         assert len(csv_text.strip().splitlines()) == 5
         assert "mini-check:" in capsys.readouterr().out
+
+    def test_selection_preset_writes_one_csv_line_per_row(self, tmp_path,
+                                                          monkeypatch, capsys):
+        ep = MixtureParams((0.5, 0.5), (0.2,), 1.6)
+        rows = (
+            SelectionRow("ep-n600", "EP", ep, 600, "ep_p", "EP",
+                         gate_median_log10=1.0),
+            SelectionRow("p-n600", "P", MixtureParams((1.0,), (), 1.6), 600,
+                         "choice", "P"),
+        )
+        mini = SelectionPlan("mini-table", rows=rows, n_replicates=2, restarts=3)
+        monkeypatch.setitem(PRESETS, "mini-table", mini)
+        out = tmp_path / "val"
+        rc = main(["validate", "--preset", "mini-table", "--seed", "2",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        report = check_report(out / "mini-table-report.json")
+        with (out / "mini-table-records.csv").open(newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == ["row_id", "truth", "n_samples", "metric",
+                          "median_log10_bf", "choice_rate", "pass"]
+        assert [line[:4] for line in lines] == [
+            ["ep-n600", "EP", "600", "ep_p"], ["p-n600", "P", "600", "choice"],
+        ]
+        # one stdout line per row, then the overall verdict
+        state = {True: "PASS", False: "FAIL", None: "info"}
+        *per_row, overall = capsys.readouterr().out.splitlines()
+        assert per_row == [f"{row['row_id']}: {state[row['pass']]}"
+                           for row in report["results"]["rows"]]
+        assert per_row[1] == "p-n600: info"
+        assert overall.startswith("mini-table: ")

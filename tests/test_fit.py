@@ -360,6 +360,37 @@ class TestLockstep:
             assert batch[6][r] == alone[6][0]  # stage statuses
             assert batch[7][r] is None and alone[7][0] is None
 
+    @pytest.mark.parametrize("n_exp", [0, 1, 2])
+    def test_iteration_cap_ends_a_stage_and_opens_the_next(self, monkeypatch,
+                                                           n_exp):
+        # at a cap of 2 Newton iterations most stages end "maxiter"; each
+        # hands its iterate to the next stage, and batching changes no bit
+        monkeypatch.setattr(fit_module, "MAX_INNER_ITERS", 2)
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        sample = sample_mixture(EP, truth, 1200, seed=31)
+        spec = ModelSpec(n_exp)
+        values, mult = aggregate_counts(sample, 1)
+        fun = fit_module._objective([(values, mult)], [0], spec)
+        a, b = slack_system(spec)
+        theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
+        n, raw = mult.sum(), n_exp == 1
+        batch = fit_module._lockstep(fun, a, b, theta0, n, raw)
+        statuses = batch[6]
+        assert sum(s.count("maxiter") for s in statuses) >= 5
+        for r, status in enumerate(statuses):
+            # every stage ran, the ones after a capped stage too
+            assert len(status) == len(fit_module.BARRIER_WEIGHTS)
+            assert set(status) <= {"maxiter", "converged"}
+            # a capped stage counts its 2 iterations; a converged one
+            # ends before its first step (0) or after it (1)
+            capped, converged = status.count("maxiter"), status.count("converged")
+            assert 2 * capped <= batch[5][r] <= 2 * capped + converged
+            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1], n, raw)
+            np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
+            np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
+            for i in (1, 3, 4, 5, 6, 7):
+                assert batch[i][r] == alone[i][0]
+
     @pytest.mark.parametrize("x_min", [1, 3])
     # the one exponential form, passed through ModelSpec's kept field
     @pytest.mark.parametrize("exp_mode", ["discrete"])

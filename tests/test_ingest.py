@@ -346,6 +346,23 @@ class TestUptimeFile:
         with pytest.raises(DataError, match="overlap"):
             read_uptime_file(p)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "up.csv"
+        p.write_text("end,begin\n\n100,0\n  \n300,150\n")
+        assert read_uptime_file(p) == [(0.0, 100.0), (150.0, 300.0)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("start,stop\n0,100\n", "header must name begin and end"),
+        ("begin,end\n0,100\n150,soon\n", r":3: bad interval row \['150', 'soon'\]"),
+        ("begin,end\n0,100\n150\n", r":3: bad interval row \['150'\]"),
+        ("begin,end\n\n \n", "no intervals"),
+    ], ids=["header", "not-a-number", "short-row", "no-intervals"])
+    def test_faults_are_data_errors_naming_the_file(self, tmp_path, text, message):
+        p = tmp_path / "up.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}.*{message}"):
+            read_uptime_file(p)
+
 
 class TestSeriesFile:
     def test_round_trip(self, tmp_path):
@@ -412,6 +429,37 @@ class TestSeriesFile:
         p.write_text('#{"bin_seconds": 4, "source_id": "a", "n": 2}\n1\noops\n')
         with pytest.raises(DataError, match=":3"):
             read_series_file(p)
+
+    def test_header_that_is_not_json(self, tmp_path):
+        p = tmp_path / "x.series"
+        p.write_text('#{"bin_seconds": 4, "source_id": "a",\n1\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: bad JSON header: "):
+            read_series_file(p)
+
+
+# A header line and a body that each carry one byte that is not UTF-8.
+# The body runs past the first block that the text layer decodes, so the
+# byte is met by the row loop after the header was read.
+_NOT_UTF8 = {
+    read_flow_file: (b"start_time\xff\n1.5\n", b"start_time\n", b"1.5\n"),
+    read_uptime_file: (b"begin,end\xff\n0,1\n", b"begin,end\n", b"0,1\n"),
+    read_series_file: (b'#{"bin_seconds": 4, "source_id": "\xff", "n": 1}\n1\n',
+                       b'#{"bin_seconds": 4, "source_id": "a", "n": 5001}\n', b"1\n"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_NOT_UTF8), ids=lambda r: r.__name__)
+@pytest.mark.parametrize("where", ["header", "body"])
+def test_text_that_is_not_utf8_is_a_data_error(tmp_path, reader, where):
+    bad_header, header, line = _NOT_UTF8[reader]
+    p = tmp_path / "input.txt"
+    if where == "header":
+        p.write_bytes(bad_header)
+    else:
+        p.write_bytes(header + 5000 * line + b"\xff\n")
+        assert len(p.read_bytes()) > 8192
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not UTF-8 text$"):
+        reader(p)
 
 
 # -- property tests: the C-reader path against the row loops it stands for --

@@ -159,6 +159,15 @@ class TestResponsibilities:
         brute = int(xs[np.nonzero(r >= 0.5)[0][0]])
         assert got == brute
 
+    def test_tail_threshold_past_the_first_block(self):
+        # the crossing lies past the scan's first block of 4096 values
+        params = MixtureParams((0.999, 0.001), (0.002,), 1.2)
+        got = tail_threshold(EP, params)
+        assert got == 6473
+        xs = np.arange(1, 6475)
+        r = responsibilities(xs, EP, params)[:, -1]
+        assert int(xs[np.nonzero(r >= 0.5)[0][0]]) == got
+
     def test_pure_tail_model_starts_at_x_min(self):
         assert tail_threshold(P, MixtureParams((1.0,), (), 1.6)) == 1
         spec = ModelSpec(n_exp=0, x_min=4)
