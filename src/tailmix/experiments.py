@@ -30,9 +30,10 @@ _FIT_STREAM = 1
 def hill_estimate(sample, tail_fraction: float = 0.1) -> float:
     """Hill tail-exponent estimate from the top tail_fraction order stats.
 
-    Needs at least 50 observations and at least 10 tail points. Raises
-    EstimationError when the tail order statistics are all equal, which
-    leaves the estimator undefined.
+    Needs at least 50 observations, at least 10 tail points and a
+    positive reference order statistic. Raises EstimationError when the
+    tail order statistics are all equal, which leaves the estimator
+    undefined.
     """
     xs = np.asarray(sample, dtype=np.float64)
     if xs.ndim != 1 or xs.size < 50:
@@ -45,6 +46,9 @@ def hill_estimate(sample, tail_fraction: float = 0.1) -> float:
     if k >= xs.size:
         raise DataError("tail_fraction leaves no reference order statistic")
     xs = np.sort(xs)[::-1]
+    if not xs[k] > 0.0:  # the values above it are positive too
+        raise DataError(f"order statistic {k + 1} from the top is {xs[k]:g}, "
+                        "not positive")
     denom = float(np.log(xs[:k]).sum() - k * math.log(xs[k]))
     if denom <= 0.0:
         raise EstimationError("tail order statistics are degenerate")

@@ -1,22 +1,25 @@
 """Flow-record ingestion and binning.
 
-Flow files are delimited text (comma or tab) with a header naming a
-start_time column in seconds. Flow and series files are parsed by
-numpy's C reader in one pass; a per-row loop reads the file again only
-when that pass fails, so the values and the line-numbered errors are the
-loop's on every input. Counting uses half-open windows
-[k*w, (k+1)*w) aligned to multiples of the window size, starting at the
-window containing the first flow. An optional uptime sidecar restricts
-counting to bins that lie wholly inside a measured interval. A ladder of
-doubling windows is counted in one pass over the flows, at its smallest
-window; each larger window sums pairs of bins of the one below. The pass
-walks the start times in fixed-size chunks through two reused buffers,
-so binning holds the start-time array, the counts and about 1 MB more,
-however many flows there are.
+Flow files (a start_time column, in seconds) and uptime sidecars (begin
+and end columns) are comma- or tab-delimited text with a header line,
+and both are read by _read_columns. Every text file is opened as UTF-8,
+a leading byte-order mark dropped, and its body parsed by numpy's C
+reader in one pass; a row loop reads the file again only when that pass
+fails, so the values and the line-numbered errors are the loop's on
+every input. Counting uses half-open windows [k*w, (k+1)*w) aligned to
+multiples of the window size, starting at the window containing the
+first flow. An optional uptime sidecar restricts counting to bins that
+lie wholly inside a measured interval. A ladder of doubling windows is
+counted in one pass over the flows, at its smallest window; each larger
+window sums pairs of bins of the one below. The pass walks the start
+times in fixed-size chunks through two reused buffers, so binning holds
+the start-time array, the counts and about 1 MB more, however many
+flows there are.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -39,18 +42,26 @@ _CHUNK = 1 << 16
 _MAX_BINS = 1 << 25
 
 
-def _not_utf8(path) -> DataError:
-    """The error of a text file with a byte sequence that is not UTF-8."""
-    return DataError(f"{path}: not UTF-8 text")
+@contextlib.contextmanager
+def _text(path):
+    """path opened as text, a leading UTF-8 byte-order mark dropped and
+    line endings kept. A byte sequence that is not UTF-8, met anywhere in
+    the with block, is a DataError naming the file."""
+    try:
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
 
 
 def _read_header(fh, path):
-    """(delimiter, column names) from the header line: tab if it has one."""
+    """(delimiter, column names) from the header line: tab if it has one.
+    Names may be quoted with `"`, as the rows' fields may."""
     first = fh.readline()
     if not first.strip():
         raise DataError(f"{path}: empty file")
     delim = "\t" if "\t" in first else ","
-    return delim, [c.strip() for c in first.rstrip("\r\n").split(delim)]
+    return delim, [c.strip() for c in next(csv.reader([first], delimiter=delim))]
 
 
 def _parse_body(path, **kwargs):
@@ -75,83 +86,70 @@ def _parse_body(path, **kwargs):
         return None
 
 
-def read_flow_file(path) -> np.ndarray:
-    """Read flow start times (seconds) from a delimited text file.
-
-    Blank and whitespace-only lines are skipped; a short row, a value that
-    is not a number and a non-finite value are DataErrors naming the line,
-    and text that is not UTF-8 is a DataError naming the file.
-    """
-    path = Path(path)
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            delim, header = _read_header(fh, path)
-            if "start_time" not in header:
-                raise DataError(f"{path}: header has no start_time column: {header}")
-            col = header.index("start_time")
-            times = _parse_body(path, delimiter=delim, quotechar='"', usecols=col,
-                                ndmin=1)
-            if times is None or not times.size or not np.isfinite(times).all():
-                times = _start_times_by_row(fh, path, delim, col)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    return times
+def _read_columns(path, names) -> np.ndarray:
+    """The named columns of a delimited file, in the order of names, as a
+    float64 array with one row per record. The header must name each
+    column. Blank and whitespace-only lines are skipped; a short row, a
+    value that is not a number and a non-finite value are DataErrors
+    naming the line and the column, and text that is not UTF-8 is one
+    naming the file."""
+    with _text(path) as fh:
+        delim, header = _read_header(fh, path)
+        for name in names:
+            if name not in header:
+                raise DataError(f"{path}: header has no {name} column: {header}")
+        cols = [header.index(name) for name in names]
+        rows = _parse_body(path, delimiter=delim, quotechar='"', usecols=cols,
+                           ndmin=2)
+        if rows is None or not rows.size or not np.isfinite(rows).all():
+            rows = _columns_by_row(fh, path, delim, cols, names)
+    return rows
 
 
-def _start_times_by_row(fh, path, delim, col) -> np.ndarray:
-    """The row loop behind read_flow_file, reading fh from after the header."""
-    times = []
+def _columns_by_row(fh, path, delim, cols, names) -> np.ndarray:
+    """The row loop behind _read_columns, reading fh from after the header."""
+    rows = []
     for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) <= col:
-            raise DataError(f"{path}:{lineno}: missing start_time field")
-        try:
-            t = float(row[col])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: bad start_time {row[col]!r}") from None
-        if not math.isfinite(t):
-            raise DataError(f"{path}:{lineno}: non-finite start_time")
-        times.append(t)
-    if not times:
+        values = []
+        for col, name in zip(cols, names):
+            if len(row) <= col:
+                raise DataError(f"{path}:{lineno}: missing {name} field")
+            try:
+                v = float(row[col])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad {name} {row[col]!r}") from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{lineno}: non-finite {name}")
+            values.append(v)
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, len(cols))
+
+
+def read_flow_file(path) -> np.ndarray:
+    """Read flow start times (seconds) from the start_time column of a
+    delimited text file. Its faults are those of _read_columns and a file
+    without rows, each a DataError naming the file."""
+    path = Path(path)
+    times = _read_columns(path, ("start_time",))[:, 0]
+    if not times.size:
         raise DataError(f"{path}: no flow records")
-    return np.asarray(times, dtype=np.float64)
+    return times
 
 
 def read_uptime_file(path) -> list:
-    """Read measured intervals as (begin, end) second pairs, one per line.
-
-    Blank lines are skipped; a header that does not name begin and end, a row
-    without two numbers, an empty or reversed interval, overlapping
-    intervals, no intervals at all and text that is not UTF-8 are
-    DataErrors naming the file.
-    """
+    """Read measured intervals, sorted, as (begin, end) second pairs from
+    the begin and end columns of a delimited text file. Its faults are
+    those of _read_columns, no rows, an empty or reversed interval and
+    overlapping intervals, each a DataError naming the file."""
     path = Path(path)
-    spans = []
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            delim, header = _read_header(fh, path)
-            if "begin" not in header or "end" not in header:
-                raise DataError(f"{path}: header must name begin and end: {header}")
-            bcol, ecol = header.index("begin"), header.index("end")
-            for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    b, e = float(row[bcol]), float(row[ecol])
-                except (ValueError, IndexError):
-                    raise DataError(
-                        f"{path}:{lineno}: bad interval row {row!r}"
-                    ) from None
-                if not (b < e):
-                    raise DataError(
-                        f"{path}:{lineno}: interval must have begin < end"
-                    )
-                spans.append((b, e))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    spans = [(b, e) for b, e in _read_columns(path, ("begin", "end")).tolist()]
     if not spans:
         raise DataError(f"{path}: no intervals")
+    for b, e in spans:
+        if not b < e:
+            raise DataError(f"{path}: interval ({b},{e}) must have begin < end")
     spans.sort()
     for (b0, e0), (b1, e1) in zip(spans, spans[1:]):
         if b1 < e0:
@@ -382,16 +380,13 @@ def read_series_file(path) -> BinnedSeries:
     a bad count line, a count of lines other than the header's n and
     text that is not UTF-8 are DataErrors naming the file."""
     path = Path(path)
-    try:
-        with path.open(encoding="utf-8") as fh:
-            bin_seconds, source_id, n = _series_header(fh.readline(), path)
-            counts = _parse_body(path, dtype=np.int64, ndmin=2)
-            if counts is None or not counts.size or counts.shape[1] != 1:
-                counts = _counts_by_line(fh, path)
-            else:
-                counts = counts[:, 0]
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    with _text(path) as fh:
+        bin_seconds, source_id, n = _series_header(fh.readline(), path)
+        counts = _parse_body(path, dtype=np.int64, ndmin=2)
+        if counts is None or not counts.size or counts.shape[1] != 1:
+            counts = _counts_by_line(fh, path)
+        else:
+            counts = counts[:, 0]
     if len(counts) != n:
         raise DataError(f"{path}: header says n={n} but found {len(counts)} counts")
     try:

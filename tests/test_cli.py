@@ -15,7 +15,7 @@ from tailmix import __version__, cli
 from tailmix.cli import main
 from tailmix.errors import FitError
 from tailmix.experiments import PRESETS, RecoveryPlan, SelectionPlan, SelectionRow
-from tailmix.ingest import read_series_file, write_series_file
+from tailmix.ingest import STANDARD_WINDOWS, read_series_file, write_series_file
 from tailmix.mixture import BinnedSeries, MixtureParams
 from tailmix.seeding import DEFAULT_SEED
 
@@ -143,6 +143,27 @@ class TestBinCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {flow_file}: not UTF-8 text\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("header", [b"start_time,bytes",
+                                        b'"start_time","bytes"'],
+                             ids=["plain", "quoted"])
+    def test_bin_byte_order_mark_writes_the_clean_series(self, flow_file,
+                                                         tmp_path, header):
+        rows = flow_file.read_bytes().splitlines()[1:]
+        body = b"".join(row.split(b",", 1)[1] + b"\n" for row in rows)
+        clean = tmp_path / "clean" / "trace.csv"
+        marked = tmp_path / "marked" / "trace.csv"
+        for path, text in ((clean, b"start_time,bytes\n" + body),
+                           (marked, b"\xef\xbb\xbf" + header + b"\n" + body)):
+            path.parent.mkdir()
+            path.write_bytes(text)
+            assert main(["bin", "--input", str(path), "--out-dir",
+                         str(path.parent / "out")]) == 0
+        names = sorted(p.name for p in (clean.parent / "out").glob("*.series"))
+        assert len(names) == len(STANDARD_WINDOWS)
+        for name in names:
+            assert ((marked.parent / "out" / name).read_bytes()
+                    == (clean.parent / "out" / name).read_bytes())
 
     def test_bin_span_past_the_bin_cap_writes_nothing(self, tmp_path, capsys):
         flows = tmp_path / "flows.csv"

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ class TestHillEstimate:
             hill_estimate(np.arange(1.0, 101.0), tail_fraction=1.5)
         with pytest.raises(DataError):
             hill_estimate(np.arange(1.0, 101.0), tail_fraction=0.999999)
+
+    def test_non_positive_reference_statistic_is_a_data_error(self):
+        xs = np.r_[np.zeros(95), np.arange(1.0, 6.0)]  # k = 10, x_(11) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^order statistic 11 from the top "
+                                                "is 0, not positive$"):
+                hill_estimate(xs)
+        with pytest.raises(DataError, match="is -1, not positive"):
+            hill_estimate(np.r_[-np.ones(95), np.arange(1.0, 6.0)])
 
     def test_degenerate_tail_raises(self):
         xs = np.ones(100)

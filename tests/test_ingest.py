@@ -287,6 +287,11 @@ class TestFlowFile:
         np.testing.assert_array_equal(read_flow_file(p), [1.5, 2.5])
         p.write_text('flow_id,start_time\nc,"2.5"\n')
         np.testing.assert_array_equal(read_flow_file(p), [2.5])
+        p.write_text('"start_time","bytes"\n0.5,1\n9.0,2\n')
+        np.testing.assert_array_equal(read_flow_file(p), [0.5, 9.0])
+        # as R's write.csv writes it: every name quoted, row names first
+        p.write_text('"","start_time","bytes"\n"1",0.5,100\n"2",9,200\n')
+        np.testing.assert_array_equal(read_flow_file(p), [0.5, 9.0])
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
     def test_plain_text_with_compressed_suffix(self, tmp_path, suffix):
@@ -321,11 +326,14 @@ class TestFlowFile:
         def no_loop(*args):
             raise AssertionError("row loop ran on a clean file")
 
-        monkeypatch.setattr(ingest, "_start_times_by_row", no_loop)
+        monkeypatch.setattr(ingest, "_columns_by_row", no_loop)
         monkeypatch.setattr(ingest, "_counts_by_line", no_loop)
         p = tmp_path / "flows.csv"
         p.write_text("start_time,bytes\r\n0.25,1\r\n\r\n8.5,2\r\n")
         np.testing.assert_array_equal(read_flow_file(p), [0.25, 8.5])
+        u = tmp_path / "up.csv"
+        u.write_text("end\tnote\tbegin\n100\tx\t0\n\n300\ty\t150\n")
+        assert read_uptime_file(u) == [(0.0, 100.0), (150.0, 300.0)]
         s = tmp_path / "x.series"
         write_series_file(s, BinnedSeries(np.array([4, 1]), bin_seconds=4.0))
         np.testing.assert_array_equal(read_series_file(s).counts, [4, 1])
@@ -336,11 +344,15 @@ class TestUptimeFile:
         p = tmp_path / "up.csv"
         p.write_text("begin,end\n0,100\n150,300\n")
         assert read_uptime_file(p) == [(0.0, 100.0), (150.0, 300.0)]
+        # as R's write.csv writes it: every name quoted, row names first
+        p.write_text('"","begin","end"\n"1",150,300\n"2",0,100\n')
+        assert read_uptime_file(p) == [(0.0, 100.0), (150.0, 300.0)]
 
     def test_rejects_bad_intervals(self, tmp_path):
         p = tmp_path / "up.csv"
-        p.write_text("begin,end\n100,100\n")
-        with pytest.raises(DataError, match="begin < end"):
+        p.write_text("begin,end\n0,50\n100,100\n")
+        with pytest.raises(DataError, match=r": interval \(100\.0,100\.0\) must have "
+                                            "begin < end$"):
             read_uptime_file(p)
         p.write_text("begin,end\n0,100\n50,200\n")
         with pytest.raises(DataError, match="overlap"):
@@ -352,11 +364,15 @@ class TestUptimeFile:
         assert read_uptime_file(p) == [(0.0, 100.0), (150.0, 300.0)]
 
     @pytest.mark.parametrize("text, message", [
-        ("start,stop\n0,100\n", "header must name begin and end"),
-        ("begin,end\n0,100\n150,soon\n", r":3: bad interval row \['150', 'soon'\]"),
-        ("begin,end\n0,100\n150\n", r":3: bad interval row \['150'\]"),
+        ("start,stop\n0,100\n", "header has no begin column"),
+        ("begin,end\n0,100\n150,soon\n", ":3: bad end 'soon'"),
+        ("begin,end\n0,100\n150\n", ":3: missing end field"),
         ("begin,end\n\n \n", "no intervals"),
-    ], ids=["header", "not-a-number", "short-row", "no-intervals"])
+        ("begin,end\n0,nan\n", ":2: non-finite end$"),
+        ("begin,end\n0,inf\n", ":2: non-finite end$"),
+        ("begin,end\n0,1\n-inf,5\n", ":3: non-finite begin$"),
+    ], ids=["header", "not-a-number", "short-row", "no-intervals", "nan-end",
+            "inf-end", "inf-begin"])
     def test_faults_are_data_errors_naming_the_file(self, tmp_path, text, message):
         p = tmp_path / "up.csv"
         p.write_text(text)
@@ -462,6 +478,28 @@ def test_text_that_is_not_utf8_is_a_data_error(tmp_path, reader, where):
         reader(p)
 
 
+# Each reader's input, which a UTF-8 byte-order mark in front leaves as
+# it reads, and a view of what the reader returns.
+_BOM_CASES = [
+    (read_flow_file, b"start_time,bytes\n0.5,1\n9,2\n", np.ndarray.tolist,
+     [0.5, 9.0]),
+    (read_uptime_file, b"begin,end\n0,100\n150,300\n", list,
+     [(0.0, 100.0), (150.0, 300.0)]),
+    (read_series_file, b'#{"bin_seconds": 4, "n": 2, "source_id": "a"}\n4\n1\n',
+     lambda s: (s.counts.tolist(), s.bin_seconds, s.source_id), ([4, 1], 4.0, "a")),
+]
+
+
+@pytest.mark.parametrize("reader, text, view, want", _BOM_CASES,
+                         ids=[case[0].__name__ for case in _BOM_CASES])
+def test_byte_order_mark_is_dropped(tmp_path, reader, text, view, want):
+    clean, marked = tmp_path / "clean.txt", tmp_path / "marked.txt"
+    clean.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert view(reader(clean)) == want
+    assert view(reader(marked)) == want
+
+
 # -- property tests: the C-reader path against the row loops it stands for --
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -487,14 +525,17 @@ _OTHER = st.text(alphabet='ab1 ",\t', max_size=4)
 
 
 @st.composite
-def flow_texts(draw):
-    """A flow file: header, data rows, blank and whitespace-only lines."""
+def flow_texts(draw, names=("start_time",)):
+    """A delimited file: a header with the named columns among others,
+    data rows, blank and whitespace-only lines."""
     delim = draw(st.sampled_from([",", "\t"]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    n_cols = draw(st.integers(1, 4))
-    col = draw(st.integers(0, n_cols - 1))
+    n_cols = draw(st.integers(len(names), 4))
+    cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=len(names),
+                         max_size=len(names), unique=True))
     header = [f"c{i}" for i in range(n_cols)]
-    header[col] = "start_time"
+    for col, name in zip(cols, names):
+        header[col] = name
     clean = draw(st.booleans())  # no line the C reader rejects
     lines = [delim.join(header)]
     for _ in range(draw(st.integers(0, 12))):
@@ -506,7 +547,8 @@ def flow_texts(draw):
             lines.append(draw(st.sampled_from([" ", "  ", "\t", " \t "])))
         else:
             cells = [draw(_GOOD_OTHER if clean else _OTHER) for _ in range(n_cols)]
-            cells[col] = draw(_GOOD_START_TIME if clean else _START_TIME)
+            for col in cols:
+                cells[col] = draw(_GOOD_START_TIME if clean else _START_TIME)
             if kind == "short":
                 cells = cells[:draw(st.integers(0, n_cols))]
             lines.append(delim.join(cells))
@@ -514,12 +556,20 @@ def flow_texts(draw):
     return newline.join(lines) + (newline if trailing else "")
 
 
-def _by_row_loop(path):
-    """read_flow_file's header handling, then only the row loop."""
+def _by_row_loop(path, names):
+    """_read_columns' header handling, then only the row loop."""
     with path.open(encoding="utf-8", newline="") as fh:
         delim, header = ingest._read_header(fh, path)
-        col = header.index("start_time")
-        return ingest._start_times_by_row(fh, path, delim, col)
+        cols = [header.index(name) for name in names]
+        return ingest._columns_by_row(fh, path, delim, cols, names)
+
+
+def _flows_by_row_loop(path):
+    """read_flow_file through the row loop only."""
+    times = _by_row_loop(path, ("start_time",))[:, 0]
+    if not times.size:
+        raise DataError(f"{path}: no flow records")
+    return times
 
 
 def _outcome(fn, *args):
@@ -570,10 +620,25 @@ class TestProperties:
         path = tmp_path_factory.mktemp("flows") / "f.csv"
         path.write_bytes(text.encode("utf-8"))
         got = _outcome(read_flow_file, path)
-        want = _outcome(_by_row_loop, path)
+        want = _outcome(_flows_by_row_loop, path)
         assert got[0] == want[0]
         if got[0] == "ok":
             assert got[1].dtype == np.float64
+            np.testing.assert_array_equal(got[1], want[1])
+        else:
+            assert got[1] == want[1]
+
+    @PROPERTY_SETTINGS
+    @given(flow_texts(("begin", "end")))
+    def test_two_columns_equal_row_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("uptime") / "u.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = _outcome(ingest._read_columns, path, ("begin", "end"))
+        want = _outcome(_by_row_loop, path, ("begin", "end"))
+        assert got[0] == want[0]
+        if got[0] == "ok":
+            assert got[1].dtype == np.float64
+            assert got[1].shape == want[1].shape
             np.testing.assert_array_equal(got[1], want[1])
         else:
             assert got[1] == want[1]
