@@ -30,14 +30,18 @@ _FIT_STREAM = 1
 def hill_estimate(sample, tail_fraction: float = 0.1) -> float:
     """Hill tail-exponent estimate from the top tail_fraction order stats.
 
-    Needs at least 50 observations, at least 10 tail points and a
-    positive reference order statistic. Raises EstimationError when the
-    tail order statistics are all equal, which leaves the estimator
+    Needs at least 50 finite observations, at least 10 tail points and
+    a positive reference order statistic. Raises EstimationError when
+    the tail order statistics are all equal, which leaves the estimator
     undefined.
     """
     xs = np.asarray(sample, dtype=np.float64)
     if xs.ndim != 1 or xs.size < 50:
         raise DataError(f"need a 1-d sample of at least 50 values, got {xs.shape}")
+    finite = np.isfinite(xs)
+    if not finite.all():
+        idx = int(np.argmin(finite))
+        raise DataError(f"non-finite value {xs[idx]} at index {idx}")
     if not (0 < tail_fraction < 1):
         raise DataError(f"tail_fraction must be in (0, 1), got {tail_fraction}")
     k = math.ceil(tail_fraction * xs.size)

@@ -182,7 +182,8 @@ def _objective(fits, starts, spec):
     feasible by construction and ``_feasible_steps`` only hands out
     feasible trial points. One zeta call covers every point (zeta depends
     on alpha and x_min only), and each fit's points go through one kernel
-    call on that fit's own values and multiplicities. The kernel's
+    call on that fit's own values and multiplicities; with one fit that
+    call takes the arrays whole, with no cutting or joining. The kernel's
     gradient and Hessian, taken with all weights free, map to theta
     through the affine simplex Jacobian (the tail weight is one minus the
     others). Every operation is shaped so that row b equals the
@@ -203,18 +204,20 @@ def _objective(fits, starts, spec):
         lam = np.ascontiguousarray(theta[:, k : 2 * k])
         alpha = np.ascontiguousarray(theta[:, -1])
         z, dz, d2z = kernels.zeta_pair(alpha, x_min, second=True)
-        cuts = [0, *np.searchsorted(rows, inner_starts).tolist(), rows.size]
-        parts = []
-        for (values, log_values, mult), lo, hi in zip(data, cuts, cuts[1:]):
-            if lo == hi:
-                continue
-            parts.append(kernels.mix_loglik_grad(
-                values, log_values, mult, m[lo:hi], lam[lo:hi], alpha[lo:hi],
-                x_min, z[lo:hi], dz[lo:hi], d2z=d2z[lo:hi],
-            ))
-        if len(parts) == 1:
-            ll, g_m, g_lam, g_alpha, hess = parts[0]
+        if len(data) == 1:
+            ll, g_m, g_lam, g_alpha, hess = kernels.mix_loglik_grad(
+                *data[0], m, lam, alpha, x_min, z, dz, d2z=d2z
+            )
         else:
+            cuts = [0, *np.searchsorted(rows, inner_starts).tolist(), rows.size]
+            parts = [
+                kernels.mix_loglik_grad(
+                    values, log_values, mult, m[lo:hi], lam[lo:hi], alpha[lo:hi],
+                    x_min, z[lo:hi], dz[lo:hi], d2z=d2z[lo:hi],
+                )
+                for (values, log_values, mult), lo, hi in zip(data, cuts, cuts[1:])
+                if lo < hi
+            ]
             ll, g_m, g_lam, g_alpha, hess = map(np.concatenate, zip(*parts))
         grad = np.empty(theta.shape)
         grad[:, :k] = g_m[:, :k] - g_m[:, k, None]
@@ -225,15 +228,19 @@ def _objective(fits, starts, spec):
     return loglik_grad_hess
 
 
-def _barrier(a_mat, b_vec, theta, ll, grad, hess, weight, n):
-    """(-phi, -grad phi, -hess phi) / n at feasible rows ``theta`` from
-    their raw log-likelihoods ``ll``, gradients ``grad`` and Hessians
-    ``hess``, where phi = ll + weight * sum(log(s)) and s = A @ theta +
-    b. Dividing by the observation count n (a scalar, or one per row)
-    makes the stage tolerance per observation. The only code that adds
-    the barrier.
+def _slacks(a_mat, b_vec, theta):
+    """Slacks s = A @ theta + b of each row of ``theta``."""
+    return (a_mat @ theta[:, :, None])[..., 0] + b_vec
+
+
+def _barrier(a_mat, s, ll, grad, hess, weight, n):
+    """(-phi, -grad phi, -hess phi) / n at feasible rows with slacks ``s``
+    (``_slacks``) from their raw log-likelihoods ``ll``, gradients
+    ``grad`` and Hessians ``hess``, where phi = ll + weight *
+    sum(log(s)). Dividing by the observation count n (a scalar, or one
+    per row) makes the stage tolerance per observation. The only code
+    that adds the barrier.
     """
-    s = (a_mat @ theta[:, :, None])[..., 0] + b_vec
     inv_s = 1.0 / s
     # a trailing axis, so that a scalar or one value per row broadcasts
     weight = np.asarray(weight)[..., None]
@@ -251,32 +258,39 @@ _HALVINGS = np.ldexp(1.0, -np.arange(int(-math.log2(_MIN_STEP)) + 1))
 
 def _feasible_steps(a_mat, b_vec, x, d, step):
     """Largest feasible step in step, step/2, step/4, ... for each row,
-    and the trial point there.
+    the trial point there and its slacks.
 
     Row r tries x[r] + t * d[r] for the halvings t of step[r] that are
     not below _MIN_STEP, with the objective's own slack test, and gets
     the first t that passes, or 0.0 if none does. Halving is exact, so
     this is the step that backtracking past infeasible points one trial
     at a time would reach. The current step is tested first; only rows
-    where it fails scan the rest of the ladder. Returns (steps, points)
-    with points[r] = x[r] + steps[r] * d[r] wherever a step was found.
+    where it fails scan the rest of the ladder. Returns (steps, points,
+    slacks) with points[r] = x[r] + steps[r] * d[r] and slacks[r] =
+    ``_slacks`` at points[r] wherever a step was found, so that
+    ``_barrier`` need not form them again.
     """
     points = x + step[:, None] * d
-    s = (a_mat @ points[:, :, None])[..., 0] + b_vec
+    s = _slacks(a_mat, b_vec, points)
     ok = ~(s <= 0.0).any(axis=1) & (step >= _MIN_STEP)
-    if ok.all():
-        return step, points
+    # every round asks whether any or all of its rows pass a test:
+    # np.count_nonzero is one C call, where .any() and .all() go through
+    # numpy's Python wrappers
+    if np.count_nonzero(ok) == ok.size:
+        return step, points, s
     found = np.where(ok, step, 0.0)
     rows = (~ok).nonzero()[0]
     steps = step[rows, None] * _HALVINGS[1:]
     ladder = x[rows, None, :] + steps[:, :, None] * d[rows, None, :]
-    s = (a_mat @ ladder[..., None])[..., 0] + b_vec
-    ok = ~(s <= 0.0).any(axis=2) & (steps >= _MIN_STEP)
+    s_ladder = (a_mat @ ladder[..., None])[..., 0] + b_vec
+    ok = ~(s_ladder <= 0.0).any(axis=2) & (steps >= _MIN_STEP)
     hit = ok.any(axis=1)
-    first = ok[hit].argmax(axis=1)
-    found[rows[hit]] = steps[hit, first]
-    points[rows[hit]] = ladder[hit, first]
-    return found, points
+    at = (hit.nonzero()[0], ok[hit].argmax(axis=1))
+    rows = rows[hit]
+    found[rows] = steps[at]
+    points[rows] = ladder[at]
+    s[rows] = s_ladder[at]
+    return found, points, s
 
 
 def _row_dot(u, v):
@@ -297,14 +311,17 @@ def _newton_directions(g, h):
     eigenvalue to that floor plus the infinity norm of the scaled
     gradient, so that far from a minimum the step shortens and turns
     toward -D^-1 g (Nocedal & Wright, Numerical Optimization, 2006, 3.4).
+    The shift is formed only when some row needs it; a row that does not
+    keeps its eigenvalues, as adding a zero shift to them would.
     """
     sig = 1.0 / np.sqrt(np.abs(np.diagonal(h, axis1=1, axis2=2)))
     g = g * sig
     w, v = np.linalg.eigh(h * sig[:, :, None] * sig[:, None, :])
     floor = _EIG_FLOOR * np.abs(w).max(axis=1)
     low = w[:, 0] < floor
-    mu = np.where(low, floor - w[:, 0] + np.abs(g).max(axis=1), 0.0)
-    coef = (np.swapaxes(v, 1, 2) @ g[:, :, None])[..., 0] / (w + mu[:, None])
+    if np.count_nonzero(low):
+        w += np.where(low, floor - w[:, 0] + np.abs(g).max(axis=1), 0.0)[:, None]
+    coef = (np.swapaxes(v, 1, 2) @ g[:, :, None])[..., 0] / w
     return -sig * (v @ coef[:, :, None])[..., 0]
 
 
@@ -324,8 +341,9 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
 
     The loop runs one round per pass over the active rows, those live
     with a stage left. A round finds each row's feasible trial step
-    (``_feasible_steps`` skips trial points outside the feasible set),
-    evaluates every trial in one call of ``fun``, halves the step where
+    (``_feasible_steps`` skips trial points outside the feasible set,
+    and its slacks there are the ones ``_barrier`` takes), evaluates
+    every trial in one call of ``fun``, halves the step where
     the Armijo test fails and moves where it passes; a moved row takes
     its next Newton direction at once. With ``raw_first_step`` (EP
     fits) the first step is the raw gradient, unit step on the unscaled
@@ -351,13 +369,18 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     f, step, slope, decrement = np.zeros((4, n_rows))
     g, d = np.zeros((2, n_rows, dim))
     status = [[] for _ in range(n_rows)]
+    active = live.copy()  # live with a stage left
 
     def open_stage(rows):
-        """Reweight the barrier at the stored raw values: (rows, Hessians)."""
-        raw = (x[rows], ll[rows], ll_grad[rows], ll_hess[rows], c[stage[rows]])
-        f[rows], g[rows], h = _barrier(a_mat, b_vec, *raw, n[rows])
+        """Reweight the barrier at the stored raw values: (rows,
+        gradients, Hessians)."""
+        f[rows], g_r, h = _barrier(
+            a_mat, _slacks(a_mat, b_vec, x[rows]), ll[rows], ll_grad[rows],
+            ll_hess[rows], c[stage[rows]], n[rows],
+        )
+        g[rows] = g_r
         it[rows] = 1
-        return rows, h
+        return rows, g_r, h
 
     def end_stage(rows, name, done_iters):
         """Record how the stage ended and open the next, where one is left."""
@@ -365,46 +388,52 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
         for r in rows.tolist():
             status[r].append(name)
         stage[rows] += 1
-        rows = rows[stage[rows] < c.size]
+        left = stage[rows] < c.size
+        active[rows[~left]] = False
+        rows = rows[left]
         # no barrier work for rows that have ended their last stage
-        return open_stage(rows) if rows.size else (rows, None)
+        return open_stage(rows) if rows.size else (rows, None, None)
 
-    def direct(rows, h):
-        """Newton direction, decrement and unit step; rows whose decrement
-        passes end the stage and take the next stage's direction."""
+    def direct(rows, g_r, h):
+        """Newton direction, decrement and unit step at gradients g_r;
+        rows whose decrement passes end the stage and take the next
+        stage's direction."""
         while rows.size:
-            g_r = g[rows]
             d[rows] = d_r = _newton_directions(g_r, h)
             slope[rows] = slope_r = _row_dot(d_r, g_r)
             decrement[rows] = dec = -0.5 * slope_r
             step[rows] = 1.0
             done = dec <= NEWTON_TOL
-            if not done.any():
+            if not np.count_nonzero(done):
                 break
-            rows, h = end_stage(rows[done], "converged", it[rows[done]] - 1)
+            rows, g_r, h = end_stage(rows[done], "converged", it[rows[done]] - 1)
 
     direct(*open_stage(live.nonzero()[0]))
     if raw_first_step:
         rows = (live & (stage == 0)).nonzero()[0]
         d[rows] = -n[rows, None] * g[rows]
         slope[rows] = _row_dot(d[rows], g[rows])
-    while (rows := (live & (stage < c.size)).nonzero()[0]).size:
-        found, trial_x = _feasible_steps(a_mat, b_vec, x[rows], d[rows], step[rows])
+    while (rows := active.nonzero()[0]).size:
+        found, trial_x, trial_s = _feasible_steps(
+            a_mat, b_vec, x[rows], d[rows], step[rows]
+        )
         step[rows] = found
         stuck = found == 0.0
-        if stuck.any():
+        if np.count_nonzero(stuck):
             direct(*end_stage(rows[stuck], "linesearch", it[rows[stuck]]))
-            rows, trial_x = rows[~stuck], trial_x[~stuck]
-        if not rows.size:
-            continue
+            rows, found, trial_x, trial_s = (
+                v[~stuck] for v in (rows, found, trial_x, trial_s)
+            )
+            if not rows.size:
+                continue
         new = fun(trial_x, rows)
         f_new, g_new, h_new = _barrier(
-            a_mat, b_vec, trial_x, *new, c[stage[rows]], n[rows]
+            a_mat, trial_s, *new, c[stage[rows]], n[rows]
         )
         accept = np.isfinite(f_new) & (
-            f_new <= f[rows] + _ARMIJO_C1 * step[rows] * slope[rows]
+            f_new <= f[rows] + _ARMIJO_C1 * found * slope[rows]
         )
-        if not accept.all():
+        if np.count_nonzero(accept) < accept.size:
             # a halved step below _MIN_STEP ends the stage in the next
             # round's _feasible_steps, with no further objective call
             step[rows[~accept]] *= 0.5
@@ -413,12 +442,15 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
             )
         x[rows], f[rows], g[rows] = trial_x, f_new, g_new
         ll[rows], ll_grad[rows], ll_hess[rows] = new
-        capped = it[rows] >= MAX_INNER_ITERS
-        if capped.any():
-            direct(*end_stage(rows[capped], "maxiter", it[rows[capped]]))
-            rows, h_new = rows[~capped], h_new[~capped]
-        it[rows] += 1
-        direct(rows, h_new)
+        it_r = it[rows]
+        capped = it_r >= MAX_INNER_ITERS
+        if np.count_nonzero(capped):
+            direct(*end_stage(rows[capped], "maxiter", it_r[capped]))
+            rows, it_r, g_new, h_new = (
+                v[~capped] for v in (rows, it_r, g_new, h_new)
+            )
+        it[rows] = it_r + 1
+        direct(rows, g_new, h_new)
 
     loglik = np.where(live, ll, -np.inf)
     errors = [None if ok else "starting log-likelihood is not finite" for ok in live]

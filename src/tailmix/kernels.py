@@ -12,6 +12,10 @@ exponential components (geometric pmfs, normalized on x >= x_min), the
 weighted log term of each component, and their log-sum-exp. The kernel
 and the density functions in ``mixture`` all evaluate it through these
 helpers; ``mixture.component_log_pmfs`` is the per-component density.
+Every component's log term and score are linear in one row of
+``_abscissa`` (x - x_min for the exponentials, log x for the tail), so
+the kernel forms each for all components in one broadcast over that
+(k, n) array, with the bits a loop over the components gives.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ def zeta_pair(alpha, q, second=False):
     # running product, which never overflows: E falls faster than
     # alpha^23 grows
     np.power(bases, -alphas[:, None], out=y[:, : _EM_TERMS + 1])
-    np.cumprod(y[:, _EM_TERMS:], axis=1, out=y[:, _EM_TERMS:])
+    np.multiply.accumulate(y[:, _EM_TERMS:], axis=1, out=y[:, _EM_TERMS:])
     sums = (y[:, None, :] @ coef)[:, 0]
     # the integral term w^(1-alpha) / (alpha - 1) and its derivatives
     inv = 1.0 / (alphas - 1.0)
@@ -130,6 +134,36 @@ def exp_log_amp(lam):
     )
 
 
+def _abscissa(x, log_x, x_min, n_exp):
+    """The (k, len(x)) rows each component's log density is linear in:
+    x - x_min for the exponentials, log x for the power tail."""
+    ab = np.empty((n_exp + 1, x.shape[0]))
+    np.subtract(x, x_min, out=ab[:n_exp])
+    ab[n_exp] = log_x
+    return ab
+
+
+def _weighted_logs(ab, m, lam, alpha, z):
+    """``component_logs`` on the abscissa rows ``ab``: offset - rate * ab
+    in one broadcast, then log z off the tail row. The offset is log m,
+    plus the log-amplitude on the exponential rows; the rate is
+    (lam..., alpha)."""
+    alpha = np.asarray(alpha)
+    n_exp = lam.shape[-1]
+    offset = np.log(m)
+    if n_exp:
+        offset[..., :n_exp] += exp_log_amp(lam)
+    rate = np.empty(offset.shape)
+    rate[..., :n_exp] = lam
+    rate[..., n_exp] = alpha
+    logs = np.multiply(rate[..., None], ab)
+    np.subtract(offset[..., None], logs, out=logs)
+    log_z = np.fromiter(map(math.log, np.ravel(z).tolist()), np.float64)
+    log_z = log_z.reshape(alpha.shape)
+    logs[..., n_exp, :] -= log_z[..., None]
+    return logs
+
+
 def component_logs(x, log_x, m, lam, alpha, x_min, z):
     """Weighted log density of each component at x, shape (..., k, len(x)).
 
@@ -140,19 +174,8 @@ def component_logs(x, log_x, m, lam, alpha, x_min, z):
     ``m`` and ``lam`` carry as leading axes; each batch row is computed
     exactly as a batch of one would be.
     """
-    alpha = np.asarray(alpha)
-    n_exp = lam.shape[-1]
-    logs = np.empty(alpha.shape + (n_exp + 1, x.shape[0]))
-    log_amp = exp_log_amp(lam)
-    shifted = x - x_min
-    log_m = np.log(m)
-    for e in range(n_exp):
-        amp = log_m[..., e] + log_amp[..., e]
-        logs[..., e, :] = amp[..., None] - lam[..., e, None] * shifted
-    log_z = np.reshape([math.log(v) for v in np.ravel(z).tolist()], alpha.shape)
-    tail = log_m[..., n_exp, None] - alpha[..., None] * log_x
-    logs[..., n_exp, :] = tail - log_z[..., None]
-    return logs
+    ab = _abscissa(x, log_x, x_min, lam.shape[-1])
+    return _weighted_logs(ab, m, lam, alpha, z)
 
 
 def log_sum_exp(logs):
@@ -167,6 +190,19 @@ def _dot_wt(v, wt):
     """``wt @ v`` for each row of v: a (1, n) @ (n,) product per row, so
     every row is summed as the 1-D dot product would sum it."""
     return (v[..., None, :] @ wt)[..., 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _hess_index(n_exp):
+    """Flat indices into a (dim, dim) Hessian, dim = 2 * n_exp + 2: each
+    component's (weight, parameter) entry and its mirror, shape (2, k),
+    and the (parameter, parameter) diagonal, shape (k,)."""
+    dim = 2 * n_exp + 2
+    w = np.arange(n_exp + 1)
+    p = w + n_exp + 1
+    cross, diag = np.stack([w * dim + p, p * dim + w]), p * dim + p
+    cross.flags.writeable = diag.flags.writeable = False
+    return cross, diag
 
 
 def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal=False,
@@ -189,37 +225,40 @@ def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal=False,
     batched to match) it evaluates B parameter points at once and every
     output gains the leading batch axis; row b equals the scalar call at
     point b bit for bit.
+
+    Each quantity is one broadcast over all k components on the rows of
+    ``_abscissa``: the log terms are offset - rate * abscissa, and each
+    component's own score (d log pmf_e / d rate_e, or d log pmf_tail /
+    d alpha) is const - abscissa. Every element takes the operations a
+    loop over the components would give it.
     """
     if literal:
         raise DomainError("the unnormalized exponential form was removed")
     n_exp = lam.shape[-1]
-    dim = 2 * n_exp + 2
-    logs = component_logs(x, log_x, m, lam, alpha, x_min, z)
+    k = n_exp + 1
+    ab = _abscissa(x, log_x, x_min, n_exp)
+    logs = _weighted_logs(ab, m, lam, alpha, z)
     log_f = log_sum_exp(logs)
     logs -= log_f[..., None, :]
     # u_t holds one row per coordinate and one column per value: the
-    # responsibilities in rows 0..k, and resp_e times component e's own
-    # score (d log pmf_e / d rate_e, or d log pmf_tail / d alpha) in row
-    # k+1+e. Each row summed with weights wt is a gradient entry.
-    u_t = np.empty(logs.shape[:-2] + (dim, x.shape[0]))
-    resp = np.exp(logs, out=u_t[..., : n_exp + 1, :])
+    # responsibilities in rows 0..k-1, and resp_e times component e's
+    # score in row k+e. Each row summed with weights wt is a gradient
+    # entry.
+    u_t = np.empty(logs.shape[:-2] + (2 * k, x.shape[0]))
+    resp = np.exp(logs, out=u_t[..., :k, :])
     del logs
     ll = _dot_wt(log_f, wt)
     resp_wt = resp @ wt
     g_m = resp_wt / m
-    d_const = 1.0 / np.expm1(lam)
-    shifted = x - x_min
+    # the score is const - abscissa: 1 / expm1(lam) - (x - x_min) on the
+    # exponential rows and -dz/z - log x on the tail row
     dz_z = np.asarray(dz / z)
-    score_sq = np.empty(resp_wt.shape)
-    for e in range(n_exp + 1):
-        if e < n_exp:
-            score = d_const[..., e, None] - shifted
-        else:
-            score = -log_x - dz_z[..., None]
-        row = np.multiply(resp[..., e, :], score, out=u_t[..., n_exp + 1 + e, :])
-        if d2z is not None:
-            score_sq[..., e] = _dot_wt(np.multiply(row, score, out=score), wt)
-    g_par = _dot_wt(u_t[..., n_exp + 1 :, :], wt)
+    const = np.empty(resp_wt.shape)
+    d_const = np.divide(1.0, np.expm1(lam), out=const[..., :n_exp])
+    const[..., n_exp] = -dz_z
+    score = np.subtract(const[..., None], ab)
+    rows = np.multiply(resp, score, out=u_t[..., k:, :])
+    g_par = _dot_wt(rows, wt)
     g_lam, g_alpha = g_par[..., :n_exp], g_par[..., n_exp]
     if np.ndim(alpha) == 0:
         out = (float(ll), g_m, g_lam, float(g_alpha))
@@ -227,18 +266,21 @@ def mix_loglik_grad(x, log_x, wt, m, lam, alpha, x_min, z, dz, literal=False,
         out = (ll, g_m, g_lam, g_alpha)
     if d2z is None:
         return out
+    score_sq = _dot_wt(np.multiply(rows, score, out=score), wt)
     # d2 log f = (d2 f)/f - u u^T with u = (d f)/f, summed with weights
-    # wt; u is column j of u_t once rows 0..k are divided by the weights.
-    # (d2 f)/f is nonzero only on a component's (weight, parameter)
-    # entries, where it is resp * score / m, and on its (parameter,
-    # parameter) entry, where it is resp * (score^2 + d score / d parameter).
-    curv = -d_const * (1.0 + d_const)
-    curv = np.concatenate([curv, (dz_z * dz_z - np.asarray(d2z / z))[..., None]], -1)
-    hess = np.zeros(resp.shape[:-2] + (dim, dim))
-    par = range(n_exp + 1, dim)
-    for e, p in enumerate(par):
-        hess[..., e, p] = hess[..., p, e] = g_par[..., e] / m[..., e]
-    hess[..., par, par] = score_sq + curv * resp_wt
+    # wt; u is column j of u_t once rows 0..k-1 are divided by the
+    # weights. (d2 f)/f is nonzero only on a component's (weight,
+    # parameter) entries, where it is resp * score / m, and on its
+    # (parameter, parameter) entry, where it is resp * (score^2 + d score
+    # / d parameter).
+    curv = np.empty(resp_wt.shape)
+    np.multiply(-d_const, 1.0 + d_const, out=curv[..., :n_exp])
+    curv[..., n_exp] = dz_z * dz_z - np.asarray(d2z / z)
+    cross, diag = _hess_index(n_exp)
+    hess = np.zeros(resp.shape[:-2] + (4 * k * k,))
+    hess[..., cross] = (g_par / m)[..., None, :]
+    hess[..., diag] = score_sq + curv * resp_wt
+    hess = hess.reshape(resp.shape[:-2] + (2 * k, 2 * k))
     resp /= m[..., None]
     u_t *= np.sqrt(wt)
     hess -= u_t @ np.swapaxes(u_t, -1, -2)

@@ -111,6 +111,15 @@ class BinnedSeries:
             raise DataError(f"counts must be one-dimensional, got shape {arr.shape}")
         if arr.size and (np.floor(arr) != arr).any():
             raise DataError("counts must be integers")
+        if arr.dtype.kind == "f":
+            # the int64 cast would turn these into numbers not in the input
+            huge = np.abs(arr) >= 2.0**63
+            if huge.any():
+                idx = int(np.argmax(huge))
+                raise DataError(
+                    f"count {float(arr[idx])!r} at index {idx} is outside the "
+                    "64-bit integer range"
+                )
         arr = arr.astype(np.int64)
         if arr.size and arr.min() < 0:
             idx = int(np.argmin(arr))

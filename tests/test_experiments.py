@@ -54,6 +54,13 @@ class TestHillEstimate:
         with pytest.raises(DataError, match="is -1, not positive"):
             hill_estimate(np.r_[-np.ones(95), np.arange(1.0, 6.0)])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_is_a_data_error(self, bad):
+        # an infinite top value once gave 1.0, a nan one nan
+        xs = np.r_[np.arange(1.0, 100.0), bad, 7.0]
+        with pytest.raises(DataError, match=f"^non-finite value {bad} at index 99$"):
+            hill_estimate(xs)
+
     def test_degenerate_tail_raises(self):
         xs = np.ones(100)
         with pytest.raises(EstimationError):

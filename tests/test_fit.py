@@ -238,8 +238,8 @@ class TestFitModel:
         a, b = slack_system(spec)
         ll, grad, hess = fun(theta[None], np.zeros(1, dtype=np.int64))
         weight = fit_module.BARRIER_WEIGHTS[-1]
-        neg_phi, g, h = fit_module._barrier(a, b, theta[None], ll, grad, hess, weight,
-                                            fm.n)
+        s = fit_module._slacks(a, b, theta[None])
+        neg_phi, g, h = fit_module._barrier(a, s, ll, grad, hess, weight, fm.n)
         assert fm.diagnostics["barrier_residual"] == abs(-fm.n * neg_phi[0] - fm.loglik)
         assert fm.loglik == ll[0]  # raw, no barrier term
         # the decrement lambda^2 / 2 = -g.d / 2 of the last stage's last iterate
@@ -480,6 +480,69 @@ class TestLockstep:
             fit_module.fit_models([[1, 2, 3], [1, 2, 4]], P, [FitConfig()])
 
 
+class TestRoundShortcuts:
+    """Each shortcut a lockstep round takes equals the general path, bit
+    for bit, on the rows that take it."""
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    @pytest.mark.parametrize("n_exp", [0, 1, 2])
+    def test_one_fit_objective_equals_the_sliced_path(self, n_exp, x_min):
+        # one fit calls the kernel on all its rows at once; many fits cut
+        # the rows by fit, call the kernel per fit and join the parts
+        spec = ModelSpec(n_exp, x_min=x_min)
+        truth = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
+        fits = [aggregate_counts(sample_mixture(ModelSpec(2, x_min=x_min), truth,
+                                                size, seed=size), x_min)
+                for size in (900, 400)]
+        theta = np.array([random_init(spec, substream(12, r)) for r in range(7)])
+        theta = theta.reshape(7, spec.dof)
+        one = fit_module._objective(fits[:1], [0], spec)
+        many = fit_module._objective(fits, [0, 4], spec)
+        # rows 0-3 belong to the first fit; its rows alone make one part
+        for rows in (np.arange(7), np.arange(4), np.array([1, 3, 5])):
+            mine = rows < 4
+            want = one(theta[rows[mine]], np.arange(mine.sum()))
+            got = many(theta[rows], rows)
+            for w, g in zip(want, got, strict=True):
+                np.testing.assert_array_equal(w, g[mine])
+
+    def test_skipped_levenberg_shift_equals_a_zero_shift(self):
+        # with no row below the eigenvalue floor no shift is formed; in a
+        # batch where one row is below it, the others get a zero shift
+        rng = substream(92)
+        root = rng.normal(size=(6, 4, 4))
+        h = root @ root.transpose(0, 2, 1) + 0.1 * np.eye(4)
+        g = rng.normal(size=(6, 4))
+        low_g, low_h = rng.normal(size=(1, 4)), np.diag([2.0, -1.0, 0.5, 1.0])[None]
+        plain = fit_module._newton_directions(g, h)
+        shifted = fit_module._newton_directions(low_g, low_h)
+        for at in (0, 3, 6):
+            mixed = fit_module._newton_directions(
+                np.insert(g, at, low_g, axis=0), np.insert(h, at, low_h, axis=0)
+            )
+            np.testing.assert_array_equal(np.delete(mixed, at, axis=0), plain)
+            np.testing.assert_array_equal(mixed[at], shifted[0])
+
+    def test_reused_slacks_equal_slacks_formed_again(self, monkeypatch):
+        # the lockstep hands _barrier the slacks its scan formed; forming
+        # them again from the trial points changes no bit of any fit
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        sample = sample_mixture(EP, truth, 1500, seed=44)
+        want = [fit_model(sample, spec, FitConfig(restarts=6, seed=3))
+                for spec in (P, EP, EEP)]
+        real = fit_module._feasible_steps
+
+        def fresh_slacks(a, b, x, d, step):
+            found, points, _ = real(a, b, x, d, step)
+            return found, points, fit_module._slacks(a, b, points)
+
+        monkeypatch.setattr(fit_module, "_feasible_steps", fresh_slacks)
+        for fm in want:
+            got = fit_model(sample, fm.spec, FitConfig(restarts=6, seed=3))
+            assert got.params == fm.params and got.loglik == fm.loglik
+            assert got.diagnostics == fm.diagnostics
+
+
 class TestBarrier:
     @pytest.mark.parametrize("spec", [P, EP, EEP], ids=lambda s: s.label)
     def test_hessian_matches_differences_of_the_gradient(self, spec):
@@ -488,7 +551,8 @@ class TestBarrier:
         zeros = (np.zeros(1), np.zeros((1, dof)), np.zeros((1, dof, dof)))
 
         def barrier(theta):
-            return fit_module._barrier(a, b, theta[None], *zeros, 0.3, 7.0)
+            s = fit_module._slacks(a, b, theta[None])
+            return fit_module._barrier(a, s, *zeros, 0.3, 7.0)
 
         for r in range(3):
             theta = random_init(spec, substream(71, spec.n_exp, r))
@@ -510,8 +574,9 @@ class TestBarrier:
         ll, grad = rng.normal(size=1), rng.normal(size=(1, 3))
         hess = rng.normal(size=(1, 3, 3))
         zeros = (np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3, 3)))
-        f0, g0, h0 = fit_module._barrier(a, b, theta, *zeros, 0.01, 40.0)
-        f, g, h = fit_module._barrier(a, b, theta, ll, grad, hess, 0.01, 40.0)
+        s = fit_module._slacks(a, b, theta)
+        f0, g0, h0 = fit_module._barrier(a, s, *zeros, 0.01, 40.0)
+        f, g, h = fit_module._barrier(a, s, ll, grad, hess, 0.01, 40.0)
         np.testing.assert_allclose(f - f0, -ll / 40.0, rtol=1e-12)
         np.testing.assert_allclose(g - g0, -grad / 40.0, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h - h0, -hess / 40.0, rtol=1e-12, atol=1e-15)
@@ -565,7 +630,8 @@ class TestNewtonDirections:
             return -n * u**2, (-2.0 * n * u)[:, None], np.full((1, 1, 1), -2.0 * n)
 
         theta0 = np.array([[3.0]])
-        _, g0, h0 = fit_module._barrier(a, b, theta0, *bowl(theta0, [0]),
+        _, g0, h0 = fit_module._barrier(a, fit_module._slacks(a, b, theta0),
+                                        *bowl(theta0, [0]),
                                         fit_module.BARRIER_WEIGHTS[0], n)
         seen.clear()
         fit_module._lockstep(bowl, a, b, theta0, n, raw)
@@ -590,7 +656,8 @@ class TestNewtonDirections:
                     (n * (1.0 - 12.0 * u**2))[:, None, None])
 
         theta0 = np.array([[2.45]])
-        _, g0, h0 = fit_module._barrier(a, b, theta0, *well(theta0, [0]),
+        _, g0, h0 = fit_module._barrier(a, fit_module._slacks(a, b, theta0),
+                                        *well(theta0, [0]),
                                         fit_module.BARRIER_WEIGHTS[0], n)
         assert h0[0, 0, 0] < 0.0
         d0 = fit_module._newton_directions(g0, h0)[0, 0]
@@ -639,13 +706,18 @@ class TestFeasibleSteps:
 
     @staticmethod
     def _check_against_reference(a, b, x, d, step):
-        """Steps equal sequential halving; trial points equal x + t*d."""
-        got, points = fit_module._feasible_steps(a, b, x, d, step)
+        """Steps equal sequential halving; trial points equal x + t*d, and
+        the slacks handed to the barrier equal those formed again there,
+        bit for bit."""
+        got, points, slacks = fit_module._feasible_steps(a, b, x, d, step)
         want = [_halving_reference(a, b, x[r], d[r], step[r]) for r in range(len(x))]
         np.testing.assert_array_equal(got, want)
         found = got > 0.0
         np.testing.assert_array_equal(
             points[found], x[found] + got[found, None] * d[found]
+        )
+        np.testing.assert_array_equal(
+            slacks[found], fit_module._slacks(a, b, points[found])
         )
         return got
 
@@ -654,7 +726,7 @@ class TestFeasibleSteps:
         x = np.array([[2.0], [2.0]])
         # alpha - 1e20 * 2**-46 is far below 1: no step down to _MIN_STEP works
         d = np.array([[-1e20], [-0.1]])
-        got, points = fit_module._feasible_steps(a, b, x, d, np.ones(2))
+        got, points, _ = fit_module._feasible_steps(a, b, x, d, np.ones(2))
         assert got[0] == 0.0 and got[1] == 1.0
         assert _halving_reference(a, b, x[0], d[0], 1.0) == 0.0
 
@@ -718,7 +790,8 @@ class TestFeasibleSteps:
             hess = np.full((1, 1, 1), -1.0)
             for weight, stage in zip(fit_module.BARRIER_WEIGHTS,
                                      np.split(np.array(delta), cuts)):
-                _, g, h = fit_module._barrier(a, b, theta0[r:r + 1], ll[r:r + 1],
+                s = fit_module._slacks(a, b, theta0[r:r + 1])
+                _, g, h = fit_module._barrier(a, s, ll[r:r + 1],
                                               grad, hess, weight, 1.0)
                 steps = stage / abs(g[0, 0] / h[0, 0, 0])
                 # halvings from the first feasible step down to the

@@ -275,3 +275,93 @@ def test_batched_hessian_rows_equal_single_calls():
                                           lam[r], alpha[r], 1.0, z[r], dz[r],
                                           d2z=d2z[r])
             np.testing.assert_array_equal(out[4][r], one[4])
+
+
+def _component_logs_loop(x, log_x, m, lam, alpha, x_min, z):
+    """``kernels.component_logs`` one component row at a time."""
+    alpha = np.asarray(alpha)
+    n_exp = lam.shape[-1]
+    logs = np.empty(alpha.shape + (n_exp + 1, x.shape[0]))
+    log_amp = kernels.exp_log_amp(lam)
+    shifted = x - x_min
+    log_m = np.log(m)
+    for e in range(n_exp):
+        amp = log_m[..., e] + log_amp[..., e]
+        logs[..., e, :] = amp[..., None] - lam[..., e, None] * shifted
+    log_z = np.reshape([math.log(v) for v in np.ravel(z).tolist()], alpha.shape)
+    tail = log_m[..., n_exp, None] - alpha[..., None] * log_x
+    logs[..., n_exp, :] = tail - log_z[..., None]
+    return logs
+
+
+def _mix_loglik_grad_loop(x, log_x, wt, m, lam, alpha, x_min, z, dz, d2z):
+    """``kernels.mix_loglik_grad`` with a loop over the components for the
+    log terms, the score rows and the Hessian's small entries."""
+    n_exp = lam.shape[-1]
+    dim = 2 * n_exp + 2
+    logs = _component_logs_loop(x, log_x, m, lam, alpha, x_min, z)
+    log_f = kernels.log_sum_exp(logs)
+    logs -= log_f[..., None, :]
+    u_t = np.empty(logs.shape[:-2] + (dim, x.shape[0]))
+    resp = np.exp(logs, out=u_t[..., : n_exp + 1, :])
+    ll = kernels._dot_wt(log_f, wt)
+    resp_wt = resp @ wt
+    g_m = resp_wt / m
+    d_const = 1.0 / np.expm1(lam)
+    shifted = x - x_min
+    dz_z = np.asarray(dz / z)
+    score_sq = np.empty(resp_wt.shape)
+    for e in range(n_exp + 1):
+        if e < n_exp:
+            score = d_const[..., e, None] - shifted
+        else:
+            score = -log_x - dz_z[..., None]
+        row = np.multiply(resp[..., e, :], score, out=u_t[..., n_exp + 1 + e, :])
+        score_sq[..., e] = kernels._dot_wt(np.multiply(row, score, out=score), wt)
+    g_par = kernels._dot_wt(u_t[..., n_exp + 1 :, :], wt)
+    curv = -d_const * (1.0 + d_const)
+    curv = np.concatenate([curv, (dz_z * dz_z - np.asarray(d2z / z))[..., None]], -1)
+    hess = np.zeros(resp.shape[:-2] + (dim, dim))
+    par = range(n_exp + 1, dim)
+    for e, p in enumerate(par):
+        hess[..., e, p] = hess[..., p, e] = g_par[..., e] / m[..., e]
+    hess[..., par, par] = score_sq + curv * resp_wt
+    resp /= m[..., None]
+    u_t *= np.sqrt(wt)
+    hess -= u_t @ np.swapaxes(u_t, -1, -2)
+    return ll, g_m, g_par[..., :n_exp], g_par[..., n_exp], hess
+
+
+@pytest.mark.parametrize("x_min", [1, 3])
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize("n_exp", [0, 1, 2])
+def test_broadcast_rows_equal_the_component_loop(n_exp, batched, x_min):
+    # every component row is one broadcast in the kernel; each element
+    # must take the operations the loop over components gives it
+    rng = substream(707, n_exp, int(batched), x_min)
+    values = np.unique(rng.integers(x_min, 600, size=250)).astype(np.float64)
+    mult = rng.integers(1, 25, size=values.size).astype(np.float64)
+    log_values = np.log(values)
+    pts = np.array([_kernel_point(n_exp, rng) for _ in range(6)])
+    pts[:2, -1] = (1.0 + 1e-6, 3.99)  # alpha at both ends of its box
+    m = np.ascontiguousarray(pts[:, : n_exp + 1])
+    lam = np.ascontiguousarray(pts[:, n_exp + 1 : -1])
+    alpha = np.ascontiguousarray(pts[:, -1])
+    z, dz, d2z = kernels.zeta_pair(alpha, float(x_min), second=True)
+    cases = [(m, lam, alpha, z, dz, d2z)] if batched else [
+        (m[r], lam[r], alpha[r], z[r], dz[r], d2z[r]) for r in range(6)]
+    for m_, lam_, alpha_, z_, dz_, d2z_ in cases:
+        np.testing.assert_array_equal(
+            kernels.component_logs(values, log_values, m_, lam_, alpha_,
+                                   float(x_min), z_),
+            _component_logs_loop(values, log_values, m_, lam_, alpha_,
+                                 float(x_min), z_))
+        args = (values, log_values, mult, m_, lam_, alpha_, float(x_min), z_, dz_)
+        want = _mix_loglik_grad_loop(*args, d2z_)
+        got = kernels.mix_loglik_grad(*args, d2z=d2z_)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # the no-Hessian form returns the same first four entries
+        for g, w in zip(kernels.mix_loglik_grad(*args), want[:4], strict=True):
+            np.testing.assert_array_equal(g, w)

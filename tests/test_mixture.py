@@ -1,5 +1,8 @@
 """Mixture family: types, densities, responsibilities, classification."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,15 @@ class TestBinnedSeries:
         for bin_seconds in (np.inf, np.nan):
             with pytest.raises(DataError, match="positive and finite"):
                 BinnedSeries(np.array([1, 2]), bin_seconds=bin_seconds)
+        # float counts the int64 cast cannot hold, once reported as
+        # "negative count -9223372036854775808" after a cast warning
+        for v, shown in ((np.inf, "inf"), (-np.inf, "-inf"), (1e300, "1e+300"),
+                         (2.0**63, "9.223372036854776e+18")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match=f"^count {re.escape(shown)} at "
+                                   "index 1 is outside the 64-bit integer range$"):
+                    BinnedSeries(np.array([1.0, v]), bin_seconds=1.0)
 
     def test_counts_are_read_only(self):
         s = BinnedSeries(np.array([1, 2, 3]), bin_seconds=4)
