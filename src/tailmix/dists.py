@@ -7,15 +7,16 @@ The component densities are evaluated only by
 ``mixture.component_log_pmfs``, over the ``kernels`` helpers that the
 fits use; the power-law sampler reads the same zeta.
 
-The power-law sampler inverts the cumulative pmf over up to 2^20 support
-values, up to the first power of two beyond which zeta leaves at most
-1e-12 of the mass. That table is never held whole: per (alpha, x_min)
-it keeps the first 4096 prefix sums and every 256th, at most 64 KB, for
-the 32 most recently used keys, and folds again only the 256-value
-blocks that draws fall in. A caller that cycles through up to 32 keys
-builds each once per process, in whatever order it visits them. Draws
-beyond the table edge scale with 1 / (1 - S[L-1]), so the last bits of
-zeta reach them.
+The power-law sampler inverts the cumulative pmf over the first 2^20
+support values, whatever alpha is, and draws beyond them from the
+continuous power law (Clauset, Shalizi & Newman 2009, App. D). That
+table is never held whole: per (alpha, x_min) it keeps the first 4096
+prefix sums and every 256th, 64 KB, for the 32 most recently used
+keys, and folds again only the 256-value blocks that draws fall in. A
+caller that cycles through up to 32 keys builds each once per process,
+in whatever order it visits them. Draws beyond the table edge scale
+with 1 / (1 - S) at the edge, so the last bits of zeta reach them, and
+take libm's pow, which gives one result on every CPU.
 """
 
 from __future__ import annotations
@@ -30,20 +31,18 @@ from . import kernels
 from .errors import DomainError
 from .seeding import substream
 
-# Validation floors; alpha must exceed 1 by a real margin or the zeta
-# normalization diverges, and rates must be strictly positive.
+# Validation bounds; alpha must exceed 1 by a real margin or the zeta
+# normalization diverges, rates must be strictly positive, and both must
+# be finite.
 ALPHA_MIN = 1.0 + 1e-9
 RATE_MIN = 1e-12
 
-# Power-law sampling controls: the cumulative pmf extends until the
-# mass left beyond it is at most _TAIL_MASS, then the analytic tail takes
-# the remainder.
-_TAIL_MASS = 1e-12
-_TABLE_MAX = 1 << 20
-# Kept per (alpha, x_min): the first _HEAD prefix sums and the last sum
-# of every _BLOCK-value block; at _TABLE_MAX that is 2 x 32 KB. _BLOCK
-# divides 1024 and _HEAD is a power of two in [1024, _CHUNK], so both
+# The power-law sampler's table spans _TABLE_SIZE support values at every
+# alpha; the continuous power law takes the draws beyond it. Kept per
+# (alpha, x_min): the first _HEAD prefix sums and the last sum of every
+# _BLOCK-value block, 2 x 32 KB. _BLOCK and _HEAD divide _CHUNK, so both
 # line up with the build's chunk ends.
+_TABLE_SIZE = 1 << 20
 _BLOCK = 256
 _HEAD = 4096
 # Values folded per build step (512 KB of float64), and keys kept.
@@ -79,8 +78,10 @@ class ParetoParams:
     x_min: int = 1
 
     def __post_init__(self):
-        if not (self.alpha > ALPHA_MIN):
-            raise DomainError(f"alpha must exceed {ALPHA_MIN}, got {self.alpha}")
+        if not (ALPHA_MIN < self.alpha < math.inf):
+            raise DomainError(
+                f"alpha must exceed {ALPHA_MIN} and be finite, got {self.alpha}"
+            )
         object.__setattr__(self, "x_min", _check_x_min(self.x_min))
 
 
@@ -91,8 +92,10 @@ class ExpParams:
     rate: float
 
     def __post_init__(self):
-        if not (self.rate > RATE_MIN):
-            raise DomainError(f"rate must exceed {RATE_MIN}, got {self.rate}")
+        if not (RATE_MIN < self.rate < math.inf):
+            raise DomainError(
+                f"rate must exceed {RATE_MIN} and be finite, got {self.rate}"
+            )
 
 
 def hurwitz_zeta(alpha: float, x_min: int = 1) -> float:
@@ -134,42 +137,35 @@ def _fold(sums: np.ndarray, alpha: float, z: float) -> None:
 
 @functools.lru_cache(maxsize=_KEPT_KEYS)
 def _pareto_checkpoints(alpha: float, x_min: int):
-    """(zeta, head, ends) of the cumulative pmf S over x_min..x_min+L-1.
+    """(zeta, head, ends) of the cumulative pmf S over the _TABLE_SIZE
+    values from x_min on.
 
-    L is the first power of two >= 1024 whose remaining mass
-    zeta(alpha, x_min + L) / zeta(alpha, x_min) is at most _TAIL_MASS, or
-    _TABLE_MAX. The mass is read from zeta, not from 1 - S[L-1]: the
-    running float64 sum can round short of 1 - _TAIL_MASS for good (at
-    alpha 3.5, x_min 3 it would run to the cap). S is folded in chunks,
-    each continuing the running sum from the last, so every prefix
-    equals a one-shot cumsum bit for bit.
-    Only head = S[:_HEAD] and ends = S[_BLOCK-1::_BLOCK] are kept,
-    read-only.
+    S is folded in _CHUNK steps through one buffer, each continuing the
+    running sum from the last, so every prefix equals a one-shot cumsum
+    bit for bit. Only head = S[:_HEAD] and ends = S[_BLOCK-1::_BLOCK]
+    are kept, read-only.
     """
     z = kernels.zeta_pair(alpha, float(x_min))[0]
-    head = np.empty(_HEAD)
-    ends = np.empty(_TABLE_MAX // _BLOCK)
-    lo = 0
-    while True:
-        # chunks double from 1024 to _CHUNK, then stay at _CHUNK, so every
-        # power of two that the stop rule reads is a chunk's end
-        hi = max(1 << 10, min(2 * lo, lo + _CHUNK))
-        run = np.empty(hi - lo + 1)
-        run[0] = ends[lo // _BLOCK - 1] if lo else 0.0
-        run[1:] = np.arange(x_min + lo, x_min + hi, dtype=np.float64)
+    ends = np.empty(_TABLE_SIZE // _BLOCK)
+    steps = np.arange(_CHUNK, dtype=np.float64)
+    run = np.zeros(_CHUNK + 1)
+    for lo in range(0, _TABLE_SIZE, _CHUNK):
+        run[0] = run[-1]  # the last chunk's last sum; 0.0 before the first
+        np.add(steps, x_min + lo, out=run[1:])
         _fold(run, alpha, z)
-        if hi <= _HEAD:
-            head[lo:hi] = run[1:]
-        ends[lo // _BLOCK : hi // _BLOCK] = run[_BLOCK::_BLOCK]
-        if hi & (hi - 1) == 0 and (
-            hi >= _TABLE_MAX
-            or kernels.zeta_pair(alpha, float(x_min + hi))[0] / z <= _TAIL_MASS
-        ):
-            break
-        lo = hi
-    head, ends = head[:hi], ends[: hi // _BLOCK]
+        if not lo:
+            head = run[1 : _HEAD + 1].copy()
+        ends[lo // _BLOCK : (lo + _CHUNK) // _BLOCK] = run[_BLOCK::_BLOCK]
     head.flags.writeable = ends.flags.writeable = False
     return z, head, ends
+
+
+def _pow(base: float, exponent: float) -> float:
+    """libm's pow, as ``math.pow`` calls it, with inf where it overflows."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:
@@ -181,8 +177,9 @@ def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:
     folded again from the checkpoint before them, as in the build, so
     the lookup is the one a full table gives, bit for bit. Draws at or
     beyond the last checkpoint use a continuous power-law draw from the
-    table edge, rounded to the nearest integer. Results are clamped to
-    the int64 maximum; at very small alpha a draw can exceed it.
+    table edge, through libm's pow, rounded to the nearest integer.
+    Results are clamped to the int64 maximum; at very small alpha a draw
+    can exceed it, and pow can overflow.
     """
     rng = seed if isinstance(seed, np.random.Generator) else substream(seed)
     # float() so that an alpha given as a 0-d array is hashable
@@ -210,12 +207,13 @@ def sample_pareto(params: ParetoParams, n: int, seed) -> np.ndarray:
     out = params.x_min + idx.astype(np.int64)
     tail = far[~inner]
     if tail.size:
-        edge = params.x_min + _BLOCK * ends.shape[0] - 1
+        edge = params.x_min + _TABLE_SIZE - 1
         v = (u[tail] - ends[-1]) / (1.0 - ends[-1])
         # conditional survival beyond edge approximated by the continuous
         # power law through the half-integer boundary
-        draw = (edge + 0.5) * (1.0 - v) ** (-1.0 / (params.alpha - 1.0))
-        draw = np.floor(draw + 0.5)
+        power = -1.0 / (alpha - 1.0)
+        scale = np.array([_pow(s, power) for s in (1.0 - v).tolist()])
+        draw = np.floor((edge + 0.5) * scale + 0.5)
         # largest float64 below 2**63, so the int64 cast cannot overflow
         draw = np.clip(draw, edge + 1, np.nextafter(float(_INT64_MAX), 0.0))
         out[tail] = draw.astype(np.int64)

@@ -192,7 +192,7 @@ def bin_at_windows(
     the one below, aligned on even global bin indices. That is exact:
     t / (2w) = (t / w) / 2 in binary floating point, so bin
     floor(t / (2w)) is floor(t / w) // 2. ``_doubling_exact`` guards the
-    two ways that can fail (an index too large, a quotient too small).
+    one way that can fail (a quotient too small).
     The uptime and zero-bin filters apply per window, after the sums.
     """
     check_windows(windows)
@@ -207,7 +207,7 @@ def bin_at_windows(
     series = {}
     below = None  # (window, k0, counts) of the last window counted
     for w in sorted({float(w) for w in windows}):
-        if below is not None and below[0] == w / 2 and _doubling_exact(lo, hi, w):
+        if below is not None and below[0] == w / 2 and _doubling_exact(lo):
             k0, counts = _pair_sums(*below[1:])
         else:
             k0, counts = _count(times, lo, hi, w)
@@ -216,12 +216,14 @@ def bin_at_windows(
     return {w: series[float(w)] for w in windows}
 
 
-def _doubling_exact(lo, hi, w) -> bool:
-    """Whether bin floor(t / w) is floor(t / (w/2)) // 2 for every t:
-    no t is negative, since halving a negative t / w that is near 0 can
-    round it to -0.0, and the indices at w/2 fit in int64 with room to
-    spare. A trace with a negative time is counted at each window."""
-    return lo >= 0.0 and hi / w < 2.0**61
+def _doubling_exact(lo) -> bool:
+    """Whether bin floor(t / w) is floor(t / (w/2)) // 2 for every t: no
+    t is negative, since halving a negative t / w near 0 can round it to
+    -0.0. The indices need no test: w/2 was counted by ``_count``, which
+    refuses any quotient of 2^62 or more, or summed from a window that
+    was, and halving is exact. A trace with a negative time is counted
+    at each window."""
+    return lo >= 0.0
 
 
 def check_windows(windows):

@@ -82,12 +82,12 @@ class MixtureParams:
             raise DomainError(
                 f"need len(weights) == len(lambdas) + 1, got {len(w)} and {len(lam)}"
             )
-        if any(v <= 0.0 for v in w):
-            raise DomainError(f"weights must be strictly positive, got {w}")
+        if not all(0.0 < v < math.inf for v in w):
+            raise DomainError(f"weights must be positive and finite, got {w}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise DomainError(f"weights must sum to 1, got sum {sum(w)!r}")
-        if any(v <= 0.0 for v in lam):
-            raise DomainError(f"rates must be strictly positive, got {lam}")
+        if not all(0.0 < v < math.inf for v in lam):
+            raise DomainError(f"rates must be positive and finite, got {lam}")
         ParetoParams(self.alpha)  # the tail's own alpha check
 
     def as_arrays(self):

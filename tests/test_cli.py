@@ -222,10 +222,25 @@ class TestSimulateCommand:
         assert report["manifest"]["seed"] == 8
         assert report["results"]["output"]["sha256"]
 
-    def test_weights_required_for_exponential_models(self, capsys):
+    def test_weights_required_for_exponential_models(self, tmp_path, capsys):
         rc = main(["simulate", "--model", "EP", "--alpha", "1.6", "--n", "10"])
         assert rc == 1
         assert "weights" in capsys.readouterr().err
+        # non-finite parameters are refused by name before anything is written
+        out = tmp_path / "sim"
+        for args, field in [
+            (["--model", "EP", "--weights", "nan,nan", "--lambdas", "0.2",
+              "--alpha", "1.6"], "weights"),
+            (["--model", "EP", "--weights", "0.5,0.5", "--lambdas", "inf",
+              "--alpha", "1.6"], "rates"),
+            (["--model", "P", "--alpha", "inf"], "alpha"),
+        ]:
+            rc = main(["simulate", *args, "--n", "20", "--out-dir", str(out)])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field} must ") and "finite" in err
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_negative_seed_flag_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "sim"

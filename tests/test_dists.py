@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 import frozen_values as fv
-from tailmix import dists
+from tailmix import dists, kernels
 from tailmix.dists import (
     ExpParams,
     ParetoParams,
@@ -81,6 +81,9 @@ class TestParamValidation:
         assert p.x_min == 1
         with pytest.raises(DomainError):
             ParetoParams(1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="alpha must exceed .* finite"):
+                ParetoParams(bad)
         with pytest.raises(DomainError):
             ParetoParams(2.0, x_min=0)
         with pytest.raises(DomainError):
@@ -92,6 +95,9 @@ class TestParamValidation:
             ExpParams(0.0)
         with pytest.raises(DomainError):
             ExpParams(-1.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="rate must exceed .* finite"):
+                ExpParams(bad)
         with pytest.raises(TypeError):  # one exponential form, no mode field
             ExpParams(0.3, mode="discrete")
 
@@ -190,22 +196,16 @@ class TestSampling:
 
 
 def _pareto_table_rebuilt(params):
-    """The sampling table rebuilt whole at every doubling: the
+    """The sampling table as one cumsum over all its values: the
     reference the kept checkpoints and the draws must match bit for bit."""
     z = hurwitz_zeta(params.alpha, params.x_min)
-    size = 1 << 10
-    while True:
-        vals = params.x_min + np.arange(size, dtype=np.float64)
-        cum = np.cumsum(vals ** (-params.alpha) / z)
-        left = hurwitz_zeta(params.alpha, params.x_min + size) / z
-        if left <= dists._TAIL_MASS or size >= dists._TABLE_MAX:
-            return cum
-        size <<= 1
+    vals = params.x_min + np.arange(dists._TABLE_SIZE, dtype=np.float64)
+    return np.cumsum(vals ** (-params.alpha) / z)
 
 
 def _sample_from_full_table(params, u):
     """Inverse-CDF draws for the uniforms u from the whole rebuilt table,
-    with the tail formula applied beyond its edge."""
+    with the tail formula, through libm's pow, applied beyond its edge."""
     cum = _pareto_table_rebuilt(params)
     idx = np.searchsorted(cum, u, side="right")
     out = params.x_min + idx.astype(np.int64)
@@ -213,8 +213,14 @@ def _sample_from_full_table(params, u):
     if in_tail.any():
         edge = params.x_min + cum.shape[0] - 1
         v = (u[in_tail] - cum[-1]) / (1.0 - cum[-1])
-        draw = (edge + 0.5) * (1.0 - v) ** (-1.0 / (params.alpha - 1.0))
-        draw = np.floor(draw + 0.5)
+        power = -1.0 / (params.alpha - 1.0)
+        scale = []
+        for s in 1.0 - v:
+            try:
+                scale.append(math.pow(s, power))
+            except OverflowError:
+                scale.append(math.inf)
+        draw = np.floor((edge + 0.5) * np.array(scale) + 0.5)
         draw = np.clip(draw, edge + 1, np.nextafter(float(np.iinfo(np.int64).max), 0.0))
         out[in_tail] = draw.astype(np.int64)
     return out
@@ -240,8 +246,7 @@ _GRID = [ParetoParams(alpha, x_min)
 class TestParetoTable:
     def test_in_place_build_equals_rebuild_bit_for_bit(self):
         # the chunked build keeps the head and every block's last sum of
-        # the table that is rebuilt whole
-        sizes = set()
+        # the table that is rebuilt whole, and every table spans 2^20
         for alpha in (1.05, 1.2, 1.6, 2.0, 3.5, 3.99):
             for x_min in (1, 3):
                 want = _pareto_table_rebuilt(ParetoParams(alpha, x_min))
@@ -252,34 +257,38 @@ class TestParetoTable:
                 np.testing.assert_array_equal(
                     ends.view(np.int64),
                     want[dists._BLOCK - 1 :: dists._BLOCK].view(np.int64))
-                assert ends.size * dists._BLOCK == want.size
-                sizes.add(want.size)
-        # the grid stops early at three sizes and runs to the cap
-        assert {1 << 13, 1 << 15, 1 << 16, dists._TABLE_MAX} <= sizes
+                assert head.size == dists._HEAD == 4096
+                assert ends.size * dists._BLOCK == want.size == 1 << 20
 
-    def test_stop_rule_between_build_chunks(self, monkeypatch):
-        # a mass target first met inside the third 64K chunk stops the
-        # table at the next power of two, as the doubling rebuild does
-        p = ParetoParams(2.0)
-        left = hurwitz_zeta(2.0, 1 + (1 << 17) + 5000) / hurwitz_zeta(2.0)
-        monkeypatch.setattr(dists, "_TAIL_MASS", left)
-        want = _pareto_table_rebuilt(p)
-        assert want.size == 1 << 18
-        _, head, ends = dists._pareto_checkpoints(2.0, 1)
-        assert ends.size * dists._BLOCK == want.size
-        u = substream(5).random(20_000)
-        u[:3] = [want[-1], np.nextafter(want[-1], 0.0), ends[-2]]
-        np.testing.assert_array_equal(
-            sample_pareto(p, u.size, _FixedDraws(u)), _sample_from_full_table(p, u))
+    def test_one_build_reads_zeta_once(self, monkeypatch):
+        # the table's size does not depend on alpha, so the build reads
+        # zeta only for the normalization
+        calls = []
+        zeta_pair = kernels.zeta_pair
 
-    def test_stop_rule_reads_the_remaining_mass_from_zeta(self):
-        # at alpha 3.5, x_min 3 the running sum never rounds up to
-        # 1 - 1e-12, but the mass beyond 2^18 values is below 1e-12
-        z, _, ends = dists._pareto_checkpoints(3.5, 3)
-        assert ends.size * dists._BLOCK == 1 << 18
-        assert ends[-1] < 1.0 - dists._TAIL_MASS
-        left = [hurwitz_zeta(3.5, 3 + (1 << k)) / z for k in (17, 18)]
-        assert left[0] > dists._TAIL_MASS >= left[1]
+        def counted(*args):
+            calls.append(args)
+            return zeta_pair(*args)
+
+        monkeypatch.setattr(kernels, "zeta_pair", counted)
+        for alpha, x_min in [(1.2, 1), (3.5, 3), (3.99, 1)]:
+            calls.clear()
+            dists._pareto_checkpoints(alpha, x_min)
+            assert calls == [(alpha, float(x_min))]
+
+    def test_overflowing_pow_clamps_to_int64(self):
+        # at alpha 1 + 1e-6 the tail's exponent is -1e6, so pow overflows
+        # on every draw past the table edge; the draw is clamped, not raised
+        p = ParetoParams(1.0 + 1e-6)
+        u = np.array([np.nextafter(1.0, 0.0), 0.5])
+        _, _, ends = dists._pareto_checkpoints(float(p.alpha), p.x_min)
+        assert ends[-1] < 0.5
+        with pytest.raises(OverflowError):
+            math.pow(1.0 - u[0], -1.0 / (p.alpha - 1.0))
+        got = sample_pareto(p, u.size, _FixedDraws(u))
+        top = int(np.nextafter(float(np.iinfo(np.int64).max), 0.0))
+        np.testing.assert_array_equal(got, [top, top])
+        np.testing.assert_array_equal(got, _sample_from_full_table(p, u))
 
     def test_draws_equal_draws_from_rebuilt_table(self):
         # interleaved with repeats: revisits draw from kept checkpoints
@@ -359,6 +368,5 @@ class TestKeptTable:
         assert peak < 4 << 20
         for alpha, x_min in [(1.2, 1), (1.05, 3), (3.99, 1)]:
             _, head, ends = dists._pareto_checkpoints(alpha, x_min)
-            # a short table's arrays are views: count what they hold alive
-            kept = [a if a.base is None else a.base for a in (head, ends)]
-            assert sum(a.nbytes for a in kept) <= 64 << 10
+            assert head.base is None and ends.base is None
+            assert head.nbytes + ends.nbytes <= 64 << 10

@@ -257,8 +257,12 @@ class TestSamplingTableBuilds:
 # Euler-Maclaurin zeta moved 122 draws at alpha 1.2 and 2 at 1.4, all
 # above 6e11 and by at most 1.7e-12 relative, and those two entries were
 # frozen again. The same draws clipped at 2^30 kept their digests.
+# Draws past the table edge take libm's pow, which gives one result on
+# every CPU, where numpy's AVX-512 power loop differed from its AVX2 loop
+# in the last bit: one alpha 1.2 draw, 2.2e18, moved by that bit, and
+# that entry was frozen again at the value AVX2 hosts drew before.
 _FIG2_DESK_DIGESTS = {
-    1.2: "8b14bbce16d6d74960289e1aad774a4781bee65ee1cbd49bce5c8f3f22ac31f5",
+    1.2: "515a6697673a225fc90dc2db2080a2c2cfacc359ef8291ecbeddb0bc34bdc109",
     1.4: "f1211bbd9f2a67ea3810d188feb668a91c8f837c7174e4dbe27c1ebb2b3ae1b5",
     1.6: "7311e92abd1be246f26e46a7bfc51d7de13b465970584235d3b0b1b41bc6cfc1",
     1.8: "23ff009f0bcff9a8f0e20fc7169429c5e50d44239bf6780829b85ac918b93e1c",

@@ -55,6 +55,20 @@ class TestMixtureParams:
             MixtureParams((0.5, 0.5), (-0.2,), 1.6)
         with pytest.raises(DomainError):
             MixtureParams((0.5, 0.5), (0.2,), 1.0)
+        # non-finite values fail by name: NaN weights pass a <= 0 test and
+        # a sum-to-1 test alike
+        nan, inf = float("nan"), float("inf")
+        for weights, lambdas, alpha, field in [
+            ((nan, nan), (0.2,), 1.6, "weights"),
+            ((0.5, nan), (0.2,), 1.6, "weights"),
+            ((0.5, 0.5), (nan,), 1.6, "rates"),
+            ((0.5, 0.5), (inf,), 1.6, "rates"),
+            ((0.3, 0.4, 0.3), (1.5, inf), 1.6, "rates"),
+            ((0.5, 0.5), (0.2,), inf, "alpha"),
+            ((0.5, 0.5), (0.2,), nan, "alpha"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{field} must .*finite"):
+                MixtureParams(weights, lambdas, alpha)
 
     def test_loglik_invariant_under_component_relabeling(self):
         a = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
