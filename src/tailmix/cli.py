@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from pathlib import Path
@@ -51,21 +50,6 @@ from .reporting import (
 from .seeding import DEFAULT_SEED
 from .select import DEFAULT_THRESHOLD, select_many, select_nested
 
-SEED_ENV = "TAILMIX_SEED"
-
-
-def _resolve_seed(arg_seed):
-    if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"{SEED_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _parse_numbers(text, kind=float):
     try:
         return tuple(kind(part) for part in text.split(",") if part.strip())
@@ -93,17 +77,7 @@ def _write_with_runtime(args, name, manifest, results):
 
 
 def _fit_config(args):
-    return FitConfig(restarts=args.restarts, seed=_resolve_seed(args.seed))
-
-
-def _fit_flags(parser):
-    parser.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS,
-                        help="random optimizer restarts per model")
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"root RNG seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                        help="natural-log Bayes factor needed to grow the model")
-    parser.add_argument("--x-min", type=int, default=1, help="support minimum")
+    return FitConfig(restarts=args.restarts, seed=args.seed)
 
 
 def _cmd_bin(args):
@@ -264,6 +238,9 @@ def _cmd_classify(args):
 
 
 def _cmd_simulate(args):
+    name = args.out or f"sim-{args.model.lower()}-n{args.n}.series"
+    if Path(name).name != name or name == "..":
+        raise DataError(f"--out must be a file name without a directory, got {name!r}")
     n_exp = LABELS.index(args.model)
     weights = _parse_numbers(args.weights) if args.weights else None
     lambdas = _parse_numbers(args.lambdas) if args.lambdas else ()
@@ -273,15 +250,13 @@ def _cmd_simulate(args):
         weights = (1.0,)
     params = MixtureParams(weights=weights, lambdas=lambdas, alpha=args.alpha)
     spec = ModelSpec(n_exp, x_min=args.x_min)
-    seed = _resolve_seed(args.seed)
-    sample = sample_mixture(spec, params, args.n, seed)
-    name = args.out or f"sim-{args.model.lower()}-n{args.n}.series"
+    sample = sample_mixture(spec, params, args.n, args.seed)
     series = BinnedSeries(sample, bin_seconds=args.bin_seconds,
                           source_id=Path(name).stem)
     out_path = _output(args, name)
     write_series_file(out_path, series)
     manifest = RunManifest(
-        subcommand="simulate", seed=seed,
+        subcommand="simulate", seed=args.seed,
         config={
             "model": args.model,
             "weights": list(weights),
@@ -301,10 +276,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_validate(args):
-    seed = _resolve_seed(args.seed)
-    report_body = run_preset(args.preset, seed)
+    report_body = run_preset(args.preset, args.seed)
     manifest = RunManifest(
-        subcommand="validate", seed=seed, config={"preset": args.preset},
+        subcommand="validate", seed=args.seed, config={"preset": args.preset},
     )
     _write_with_runtime(args, f"{args.preset}-report.json", manifest, report_body)
     csv_path = _output(args, f"{args.preset}-records.csv")
@@ -333,6 +307,13 @@ def _cmd_validate(args):
     return 0
 
 
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailmix",
@@ -342,7 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_bin = sub.add_parser("bin", help="bin a flow file into count series")
+    out_dir = _flag("--out-dir", default=".", help="output directory")
+    seed = _flag("--seed", type=int, default=DEFAULT_SEED, help="root RNG seed")
+    x_min = _flag("--x-min", type=int, default=1, help="support minimum")
+    restarts = _flag("--restarts", type=int, default=DEFAULT_RESTARTS,
+                     help="random optimizer restarts per model")
+    threshold = _flag("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                      help="natural-log Bayes factor needed to grow the model")
+    fit_flags = [restarts, seed, threshold, x_min, out_dir]
+
+    p_bin = sub.add_parser("bin", parents=[out_dir],
+                           help="bin a flow file into count series")
     p_bin.add_argument("--input", required=True, help="flow file (csv or tsv)")
     p_bin.add_argument("--uptime", default=None, help="measured-interval sidecar")
     p_bin.add_argument("--windows", default=None,
@@ -350,25 +341,21 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {','.join(str(w) for w in STANDARD_WINDOWS)})")
     p_bin.add_argument("--drop-zeros", action=argparse.BooleanOptionalAction,
                        default=True, help="drop zero-count bins")
-    p_bin.add_argument("--out-dir", default=".", help="output directory")
     p_bin.set_defaults(func=_cmd_bin)
 
-    p_fit = sub.add_parser("fit-select",
+    p_fit = sub.add_parser("fit-select", parents=fit_flags,
                            help="fit nested models and select by Bayes factor")
     p_fit.add_argument("--input", required=True,
                        help="series file or directory of .series files")
-    _fit_flags(p_fit)
-    p_fit.add_argument("--out-dir", default=".", help="output directory")
     p_fit.set_defaults(func=_cmd_fit_select)
 
-    p_cls = sub.add_parser("classify",
+    p_cls = sub.add_parser("classify", parents=fit_flags,
                            help="split bins into body and tail regimes")
     p_cls.add_argument("--input", required=True, help="series file")
-    _fit_flags(p_cls)
-    p_cls.add_argument("--out-dir", default=".", help="output directory")
     p_cls.set_defaults(func=_cmd_classify)
 
-    p_sim = sub.add_parser("simulate", help="draw a synthetic count series")
+    p_sim = sub.add_parser("simulate", parents=[seed, x_min, out_dir],
+                           help="draw a synthetic count series")
     p_sim.add_argument("--model", choices=LABELS, required=True)
     p_sim.add_argument("--alpha", type=float, required=True)
     p_sim.add_argument("--weights", default=None,
@@ -377,16 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated exponential rates")
     p_sim.add_argument("--n", type=int, required=True, help="sample size")
     p_sim.add_argument("--bin-seconds", type=float, default=1.0)
-    p_sim.add_argument("--x-min", type=int, default=1)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--out", default=None, help="output series file name")
-    p_sim.add_argument("--out-dir", default=".", help="output directory")
+    p_sim.add_argument("--out", default=None,
+                       help="output series file name, without a directory")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_val = sub.add_parser("validate", help="run a named experiment preset")
+    p_val = sub.add_parser("validate", parents=[seed, out_dir],
+                           help="run a named experiment preset")
     p_val.add_argument("--preset", choices=sorted(PRESETS), required=True)
-    p_val.add_argument("--seed", type=int, default=None)
-    p_val.add_argument("--out-dir", default=".", help="output directory")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

@@ -4,8 +4,10 @@ Two families: a discrete power law normalized by the Hurwitz zeta
 function, and a discrete exponential, the geometric pmf
 (1 - e^-lam) e^(-lam (x - x_min)), which sums to one on the support.
 The component densities are evaluated only by
-``mixture.component_log_pmfs``, over the ``kernels`` helpers that the
-fits use; the power-law sampler reads the same zeta.
+``mixture._component_logs``, which ``mixture_log_pmf`` and
+``responsibilities`` (and through it ``tail_threshold``) call, over the
+``kernels`` helpers that the fits use; the power-law sampler reads the
+same zeta.
 
 The power-law sampler inverts the cumulative pmf over the first 2^20
 support values, whatever alpha is, and draws beyond them from the
@@ -49,11 +51,15 @@ _HEAD = 4096
 _CHUNK = 1 << 16
 _KEPT_KEYS = 32
 _INT64_MAX = np.iinfo(np.int64).max
+# Largest x_min: the sampler's table values x_min + k and zeta's bases
+# q + 0..9 stay exact float64 integers up to here.
+_X_MIN_MAX = 1 << 52
 
 
 def _check_x_min(x_min) -> int:
-    if int(x_min) != x_min or x_min < 1:
-        raise DomainError(f"x_min must be an integer >= 1, got {x_min!r}")
+    # the range test first, so that inf and nan never reach int()
+    if not 1 <= x_min <= _X_MIN_MAX or int(x_min) != x_min:
+        raise DomainError(f"x_min must be an integer from 1 to 2^52, got {x_min!r}")
     return int(x_min)
 
 

@@ -1,5 +1,6 @@
 """Command-line pipeline: outputs, determinism, schema conformance."""
 
+import argparse
 import csv
 import json
 import os
@@ -75,18 +76,19 @@ class TestBinCommand:
         assert report["results"][0]["meta"]["n_bins_dropped_uptime"] > 0
         assert len(report["manifest"]["inputs"]) == 2
 
-    def test_bin_report_ignores_seed_env_variable(self, flow_file, tmp_path,
-                                                  monkeypatch):
-        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
-        monkeypatch.delenv("TAILMIX_SEED", raising=False)
-        assert main(["bin", "--input", str(flow_file), "--windows", "8",
-                     "--out-dir", str(plain)]) == 0
-        monkeypatch.setenv("TAILMIX_SEED", "99")
-        assert main(["bin", "--input", str(flow_file), "--windows", "8",
-                     "--out-dir", str(seeded)]) == 0
-        name = "trace.bin-report.json"
-        assert (seeded / name).read_bytes() == (plain / name).read_bytes()
-        assert check_report(plain / name)["manifest"]["seed"] == DEFAULT_SEED
+    def test_no_drop_zeros_keeps_zero_bins(self, flow_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["bin", "--input", str(flow_file), "--windows", "1",
+                     "--no-drop-zeros", "--out-dir", str(out)]) == 0
+        series = read_series_file(out / "trace.w1.series")
+        assert (series.counts == 0).any()
+        assert series.counts.sum() == 1500
+        report = check_report(out / "trace.bin-report.json")
+        assert report["manifest"]["config"]["drop_zeros"] is False
+        (result,) = report["results"]
+        assert result["meta"]["n_zero_bins_dropped"] == 0
+        assert result["meta"]["drop_zeros"] is False
+        assert result["n"] == series.n
 
     def test_bin_missing_input_fails(self, tmp_path, capsys):
         rc = main(["bin", "--input", str(tmp_path / "nope.csv")])
@@ -198,6 +200,25 @@ def test_exp_mode_flag_is_gone(args, tmp_path, capsys):
     assert "unrecognized arguments: --exp-mode" in capsys.readouterr().err
 
 
+def test_each_subcommand_keeps_its_option_strings():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    fit = ["--input", "--out-dir", "--restarts", "--seed", "--threshold", "--x-min"]
+    expected = {
+        "bin": ["--drop-zeros", "--input", "--no-drop-zeros", "--out-dir",
+                "--uptime", "--windows"],
+        "fit-select": fit,
+        "classify": fit,
+        "simulate": ["--alpha", "--bin-seconds", "--lambdas", "--model", "--n",
+                     "--out", "--out-dir", "--seed", "--weights", "--x-min"],
+        "validate": ["--out-dir", "--preset", "--seed"],
+    }
+    got = {name: sorted(s for a in parser._actions for s in a.option_strings
+                        if s not in ("-h", "--help"))
+           for name, parser in sub.choices.items()}
+    assert got == expected
+
+
 @pytest.fixture()
 def series_file(tmp_path):
     out = tmp_path / "sim"
@@ -228,19 +249,43 @@ class TestSimulateCommand:
         assert "weights" in capsys.readouterr().err
         # non-finite parameters are refused by name before anything is written
         out = tmp_path / "sim"
-        for args, field in [
+        for args, field, bound in [
             (["--model", "EP", "--weights", "nan,nan", "--lambdas", "0.2",
-              "--alpha", "1.6"], "weights"),
+              "--alpha", "1.6"], "weights", "finite"),
             (["--model", "EP", "--weights", "0.5,0.5", "--lambdas", "inf",
-              "--alpha", "1.6"], "rates"),
-            (["--model", "P", "--alpha", "inf"], "alpha"),
+              "--alpha", "1.6"], "rates", "finite"),
+            (["--model", "P", "--alpha", "inf"], "alpha", "finite"),
+            # past 2^52 the support values are not exact float64 integers
+            (["--model", "P", "--alpha", "2", "--x-min", "9223372036854775803"],
+             "x_min", "2^52, got 9223372036854775803"),
         ]:
             rc = main(["simulate", *args, "--n", "20", "--out-dir", str(out)])
             assert rc == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {field} must ") and "finite" in err
+            assert err.startswith(f"error: {field} must ") and bound in err
             assert err.count("\n") == 1
             assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["sub/x.series", "../x.series", "..", "."])
+    def test_out_with_a_directory_part_fails_before_writing(self, tmp_path, capsys,
+                                                            name):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--model", "P", "--alpha", "2", "--n", "5",
+                   "--out", name, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: --out must be a file name without a directory, "
+                       f"got {name!r}\n")
+        assert not out.exists()
+        assert not (tmp_path / "x.series").exists()
+
+    def test_bin_seconds_reach_series_and_report(self, tmp_path):
+        assert main(["simulate", "--model", "P", "--alpha", "2", "--n", "50",
+                     "--bin-seconds", "8", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert read_series_file(tmp_path / "sim-p-n50.series").bin_seconds == 8.0
+        report = check_report(tmp_path / "sim-p-n50.sim-report.json")
+        assert report["manifest"]["config"]["bin_seconds"] == 8.0
 
     def test_negative_seed_flag_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -487,17 +532,22 @@ class TestFitSelectCommand:
         assert err.startswith("error: flat.series: ")
         assert "at least 2 distinct counts" in err
 
-    def test_seed_env_variable_used(self, series_file, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "e1", tmp_path / "e2"
-        monkeypatch.setenv("TAILMIX_SEED", "99")
-        assert main(["fit-select", "--input", str(series_file),
-                     "--restarts", "4", "--out-dir", str(out1)]) == 0
-        report = check_report(out1 / "sim-ep-n1500.fit-report.json")
-        assert report["manifest"]["seed"] == 99
-        monkeypatch.setenv("TAILMIX_SEED", "not-a-number")
-        rc = main(["fit-select", "--input", str(series_file),
-                   "--restarts", "4", "--out-dir", str(out2)])
-        assert rc == 1
+    def test_threshold_flag_reaches_the_walk_and_the_report(self, series_file,
+                                                            tmp_path, capsys):
+        flags = ["fit-select", "--input", str(series_file), "--restarts", "4",
+                 "--seed", "5"]
+        out = tmp_path / "fit"
+        assert main([*flags, "--threshold", "1e9", "--out-dir", str(out)]) == 0
+        report = check_report(out / "sim-ep-n1500.fit-report.json")
+        sel = report["results"]["selection"]
+        # EP wins by a decisive factor, which is still short of 1e9
+        assert sel["chosen"] == "P" and sel["log_bf_ep_p"] > 10
+        assert report["manifest"]["config"]["threshold"] == sel["threshold"] == 1e9
+        zero = tmp_path / "zero"
+        capsys.readouterr()
+        assert main([*flags, "--threshold", "0", "--out-dir", str(zero)]) == 1
+        assert capsys.readouterr().err == "error: threshold must be positive, got 0.0\n"
+        assert not zero.exists()
 
     def test_runtime_sidecar_not_in_report(self, series_file, tmp_path):
         out = tmp_path / "fit"
@@ -522,6 +572,55 @@ def test_fit_commands_fail_before_any_output(command, flat, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_x_min_flag_reaches_every_report(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--model", "EP", "--weights", "0.5,0.5",
+                 "--lambdas", "0.2", "--alpha", "1.6", "--n", "1500",
+                 "--x-min", "3", "--seed", "3", "--out-dir", str(sim)]) == 0
+    series = sim / "sim-ep-n1500.series"
+    assert read_series_file(series).counts.min() >= 3
+    reports = [check_report(sim / "sim-ep-n1500.sim-report.json")]
+    flags = ["--input", str(series), "--x-min", "3", "--restarts", "4", "--seed", "5"]
+    assert main(["fit-select", *flags, "--out-dir", str(tmp_path / "fit")]) == 0
+    assert main(["classify", *flags, "--out-dir", str(tmp_path / "cls")]) == 0
+    reports.append(check_report(tmp_path / "fit" / "sim-ep-n1500.fit-report.json"))
+    reports.append(check_report(tmp_path / "cls" / "sim-ep-n1500.classify-report.json"))
+    for report in reports:
+        assert report["manifest"]["config"]["x_min"] == 3
+    assert reports[2]["results"]["tail_threshold"] >= 3
+    assert reports[2]["results"]["per_value"][0]["value"] >= 3
+
+
+@pytest.mark.parametrize("command", ["bin", "fit-select", "classify", "simulate",
+                                     "validate"])
+def test_reports_ignore_seed_env_variable(command, flow_file, series_file, tmp_path,
+                                          monkeypatch):
+    # --seed is the one source of a run's seed; the environment sets none
+    mini = RecoveryPlan("mini-check", alphas=(1.6,), n_samples=1200,
+                        n_replicates=1, restarts=2)
+    monkeypatch.setitem(PRESETS, "mini-check", mini)
+    args = {
+        "bin": ["--input", str(flow_file), "--windows", "8"],
+        "fit-select": ["--input", str(series_file), "--restarts", "2"],
+        "classify": ["--input", str(series_file), "--restarts", "2"],
+        "simulate": ["--model", "P", "--alpha", "2", "--n", "50"],
+        "validate": ["--preset", "mini-check"],
+    }[command]
+
+    def outputs(name):
+        out = tmp_path / name
+        assert main([command, *args, "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()
+                if not p.name.endswith(".runtime.json")}
+
+    monkeypatch.delenv("TAILMIX_SEED", raising=False)
+    plain = outputs("plain")
+    monkeypatch.setenv("TAILMIX_SEED", "99")
+    assert outputs("seeded") == plain
+    (report,) = [name for name in plain if name.endswith("-report.json")]
+    assert check_report(tmp_path / "plain" / report)["manifest"]["seed"] == DEFAULT_SEED
 
 
 class TestClassifyCommand:
@@ -557,11 +656,10 @@ class TestClassifyCommand:
 
 
 class TestValidateCommand:
-    def test_negative_seed_env_variable_fails_cleanly(self, tmp_path, monkeypatch,
-                                                      capsys):
-        monkeypatch.setenv("TAILMIX_SEED", "-3")
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "val"
-        rc = main(["validate", "--preset", "fig2-desk", "--out-dir", str(out)])
+        rc = main(["validate", "--preset", "fig2-desk", "--seed", "-3",
+                   "--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: seed must be a non-negative integer, got -3\n"

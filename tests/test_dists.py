@@ -88,6 +88,13 @@ class TestParamValidation:
             ParetoParams(2.0, x_min=0)
         with pytest.raises(DomainError):
             ParetoParams(2.0, x_min=1.5)
+        # past 2^52 the table values x_min + k are not exact float64 integers
+        assert ParetoParams(2.0, x_min=2**52).x_min == 2**52
+        for bad in (2**52 + 1, 2**63 - 5, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"2\\^52, got {bad}$"):
+                ParetoParams(2.0, x_min=bad)
+            with pytest.raises(DomainError, match=f"got {bad}$"):
+                sample_exp(ExpParams(0.3), 5, seed=1, x_min=bad)
 
     def test_exp_params(self):
         ExpParams(0.3)

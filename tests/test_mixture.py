@@ -39,6 +39,8 @@ class TestModelSpec:
             ModelSpec(n_exp=3)
         with pytest.raises(DomainError):
             ModelSpec(n_exp=1, x_min=0)
+        with pytest.raises(DomainError, match="x_min must be an integer from 1 to 2"):
+            ModelSpec(n_exp=1, x_min=2**52 + 1)
         with pytest.raises(DomainError, match="must be 'discrete'"):
             ModelSpec(n_exp=1, exp_mode="fancy")
 
