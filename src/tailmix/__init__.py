@@ -12,7 +12,6 @@ from .dists import (
     ExpParams,
     ParetoParams,
     hurwitz_zeta,
-    hurwitz_zeta_dalpha,
     sample_exp,
     sample_pareto,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "fit_models",
     "hill_estimate",
     "hurwitz_zeta",
-    "hurwitz_zeta_dalpha",
     "log_bayes_factor",
     "log_likelihood",
     "mixture_log_pmf",

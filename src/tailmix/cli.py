@@ -50,9 +50,9 @@ from .reporting import (
 from .seeding import DEFAULT_SEED
 from .select import DEFAULT_THRESHOLD, select_many, select_nested
 
-def _parse_numbers(text, kind=float):
+def _parse_numbers(text):
     try:
-        return tuple(kind(part) for part in text.split(",") if part.strip())
+        return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise DataError(f"expected comma-separated numbers, got {text!r}") from None
 

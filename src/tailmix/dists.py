@@ -110,12 +110,6 @@ def hurwitz_zeta(alpha: float, x_min: int = 1) -> float:
     return kernels.zeta_pair(p.alpha, float(p.x_min))[0]
 
 
-def hurwitz_zeta_dalpha(alpha: float, x_min: int = 1) -> float:
-    """Derivative of zeta(alpha, x_min) with respect to alpha."""
-    p = ParetoParams(alpha, x_min)
-    return kernels.zeta_pair(p.alpha, float(p.x_min))[1]
-
-
 def sample_exp(params: ExpParams, n: int, seed, x_min: int = 1) -> np.ndarray:
     """Draw n values from the discrete exponential component."""
     x_min = _check_x_min(x_min)

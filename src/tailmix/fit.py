@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
+from . import kernels, seeding
 from .errors import DataError, DomainError, FitError, TailmixError
 from .mixture import MixtureParams, ModelSpec, aggregate_counts, as_series
 from .seeding import DEFAULT_SEED, substream
@@ -90,10 +90,7 @@ class FitConfig:
             raise DomainError(
                 f"restarts must be a positive integer, got {self.restarts!r}"
             )
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise DomainError(
-                f"seed must be a non-negative integer, got {self.seed!r}"
-            )
+        seeding._check_seed(self.seed)
 
 
 def bic(loglik: float, n: int, dof: int) -> float:
@@ -237,18 +234,15 @@ def _barrier(a_mat, s, ll, grad, hess, weight, n):
     """(-phi, -grad phi, -hess phi) / n at feasible rows with slacks ``s``
     (``_slacks``) from their raw log-likelihoods ``ll``, gradients
     ``grad`` and Hessians ``hess``, where phi = ll + weight *
-    sum(log(s)). Dividing by the observation count n (a scalar, or one
-    per row) makes the stage tolerance per observation. The only code
-    that adds the barrier.
+    sum(log(s)), with the barrier weight and the observation count n one
+    per row. Dividing by n makes the stage tolerance per observation.
+    The only code that adds the barrier.
     """
     inv_s = 1.0 / s
-    # a trailing axis, so that a scalar or one value per row broadcasts
-    weight = np.asarray(weight)[..., None]
-    n = np.asarray(n)[..., None]
-    phi = ll + weight[..., 0] * np.log(s).sum(axis=1)
-    g = grad + weight * (a_mat.T @ inv_s[:, :, None])[..., 0]
-    h = hess - weight[..., None] * (a_mat.T @ (inv_s[:, :, None] ** 2 * a_mat))
-    return -phi / n[..., 0], -g / n, -h / n[..., None]
+    phi = ll + weight * np.log(s).sum(axis=1)
+    g = grad + weight[:, None] * (a_mat.T @ inv_s[:, :, None])[..., 0]
+    h = hess - weight[:, None, None] * (a_mat.T @ (inv_s[:, :, None] ** 2 * a_mat))
+    return -phi / n, -g / n[:, None], -h / n[:, None, None]
 
 
 # Every step a line search can try from a unit step: 1, 1/2, 1/4, ...
@@ -330,8 +324,8 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
 
     Row r of ``theta0`` starts restart r; ``fun(theta, rows)`` gives raw
     log-likelihoods, gradients and Hessians at the points ``theta`` of
-    rows ``rows``, and n is the observation count, a scalar or one per
-    row: the rows may belong to many fits that share one slack system.
+    rows ``rows``, and n holds the observation counts, one per row: the
+    rows may belong to many fits that share one slack system.
     One call of ``fun`` evaluates every starting point. Each live
     restart then runs one stage of damped Newton steps with Armijo
     backtracking per weight in BARRIER_WEIGHTS, warm-started from the
@@ -361,7 +355,7 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
     """
     n_rows, dim = theta0.shape
     x = np.array(theta0, dtype=np.float64)
-    n = np.broadcast_to(np.asarray(n, dtype=np.float64), (n_rows,))
+    n = np.asarray(n, dtype=np.float64)
     ll, ll_grad, ll_hess = fun(x, np.arange(n_rows))
     live = np.isfinite(ll)
     c = np.array(BARRIER_WEIGHTS)

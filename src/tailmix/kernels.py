@@ -11,7 +11,7 @@ The mixture log-density is written once here: the log-amplitude of the
 exponential components (geometric pmfs, normalized on x >= x_min), the
 weighted log term of each component, and their log-sum-exp. The kernel
 and the density functions in ``mixture`` all evaluate it through these
-helpers; ``mixture.component_log_pmfs`` is the per-component density.
+helpers; ``component_logs`` with unit weights gives each component's log pmf.
 Every component's log term and score are linear in one row of
 ``_abscissa`` (x - x_min for the exponentials, log x for the tail), so
 the kernel forms each for all components in one broadcast over that

@@ -23,8 +23,10 @@ from .seeding import substream
 # Model labels, indexed by the number of exponential components
 LABELS = ("P", "EP", "EEP")
 
-# tail_threshold scan limit; fitted models cross far below this
-_SCAN_MAX = 1 << 34
+# tail_threshold refuses s = alpha / min rate at or past _S_MAX, and scans
+# in blocks of at most _BLOCK_MAX values
+_S_MAX = 1 << 26
+_BLOCK_MAX = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,25 +160,19 @@ def check_compat(spec: ModelSpec, params: MixtureParams) -> None:
         )
 
 
-def _component_logs(x, spec: ModelSpec, params: MixtureParams, m) -> np.ndarray:
-    """Component log terms with weights m at x, shape (n_components, n)."""
+def _component_logs(x, spec: ModelSpec, params: MixtureParams) -> np.ndarray:
+    """Weighted component log terms at x, shape (n_components, n)."""
     check_compat(spec, params)
     arr = np.atleast_1d(dists._check_support(x, spec.x_min))
     z = kernels.zeta_pair(params.alpha, float(spec.x_min))[0]
     return kernels.component_logs(
-        arr, np.log(arr), m, params.as_arrays()[1], params.alpha,
-        float(spec.x_min), z,
+        arr, np.log(arr), *params.as_arrays(), params.alpha, float(spec.x_min), z,
     )
-
-
-def component_log_pmfs(x, spec: ModelSpec, params: MixtureParams) -> np.ndarray:
-    """Log densities of each component at x, shape (n_components, n)."""
-    return _component_logs(x, spec, params, np.ones(spec.n_components))
 
 
 def mixture_log_pmf(x, spec: ModelSpec, params: MixtureParams):
     """Log of the mixture density at x (scalar in, scalar out)."""
-    logs = _component_logs(x, spec, params, params.as_arrays()[0])
+    logs = _component_logs(x, spec, params)
     out = kernels.log_sum_exp(logs)
     return float(out[0]) if np.isscalar(x) else out
 
@@ -191,7 +187,7 @@ def responsibilities(x, spec: ModelSpec, params: MixtureParams):
     Scalar x gives a vector of length n_components; an array gives shape
     (n, n_components). Rows sum to one.
     """
-    logs = _component_logs(x, spec, params, params.as_arrays()[0])
+    logs = _component_logs(x, spec, params)
     resp = np.exp(logs - kernels.log_sum_exp(logs)).T
     return resp[0] if np.isscalar(x) else resp
 
@@ -217,26 +213,36 @@ def log_likelihood(series, spec: ModelSpec, params: MixtureParams) -> float:
 
 
 def tail_threshold(spec: ModelSpec, params: MixtureParams) -> int:
-    """Smallest x >= x_min where the power tail owns the bin.
+    """First x >= x_min from which the power tail owns every larger value.
 
-    Returns the first support value whose power-tail responsibility
-    reaches 0.5. The tail eventually dominates any exponential, so the
-    scan terminates; blocks double in size to keep it cheap.
+    The tail owns a value where its responsibility reaches 0.5. Past
+    s = alpha / min rate the tail's log-odds over the body only rise,
+    since their slope in x is at least min rate - alpha / x. So the scan
+    runs over blocks that double from 4096 values to _BLOCK_MAX, stops
+    at the first block that reaches s and ends tail-owned, and returns
+    one past the last body-owned value, or x_min if no value is
+    body-owned. s at or past 2^26 is a DomainError.
     """
     check_compat(spec, params)
     if spec.n_exp == 0:
         return spec.x_min
-    lo = spec.x_min
+    s = params.alpha / min(params.lambdas)
+    if not s < _S_MAX:
+        raise DomainError(
+            f"the tail takes over only past s = alpha / min rate = {s!r}, "
+            "and s must be below 2^26"
+        )
+    start = lo = spec.x_min
     block = 4096
-    while lo < _SCAN_MAX:
+    while True:
         xs = np.arange(lo, lo + block, dtype=np.float64)
-        resp = responsibilities(xs, spec, params)
-        hit = np.nonzero(resp[:, -1] >= 0.5)[0]
-        if hit.size:
-            return int(xs[hit[0]])
+        body = np.flatnonzero(responsibilities(xs, spec, params)[:, -1] < 0.5)
+        if body.size:
+            start = lo + int(body[-1]) + 1
         lo += block
-        block *= 2
-    raise DomainError(f"no tail crossing found below {_SCAN_MAX}")
+        if lo - 1 >= s and start < lo:
+            return start
+        block = min(2 * block, _BLOCK_MAX)
 
 
 def sample_mixture(spec: ModelSpec, params: MixtureParams, n: int, seed) -> np.ndarray:

@@ -18,9 +18,13 @@ from .errors import DomainError
 DEFAULT_SEED = 20260814
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def _seed_sequence(seed, path) -> np.random.SeedSequence:
-    if isinstance(seed, numbers.Integral) and seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     return np.random.SeedSequence(seed, spawn_key=path)
 
 
@@ -28,8 +32,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return a generator for the substream identified by ``path``.
 
     The same (seed, path) pair always yields the same stream, and distinct
-    paths yield statistically independent streams. A negative seed is a
-    DomainError.
+    paths yield statistically independent streams. A seed that is not a
+    non-negative integer is a DomainError.
     """
     return np.random.default_rng(_seed_sequence(seed, path))
 

@@ -108,8 +108,8 @@ def _walk(series_list, configs, fit_rung, x_min, threshold, eep_always=False):
     their EEP fit. Returns one SelectionResult or TailmixError per
     series.
     """
-    if not (threshold > 0):
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    if not (0 < threshold < math.inf):
+        raise DomainError(f"threshold must be positive and finite, got {threshold}")
 
     def rung(n_exp, todo):
         spec = ModelSpec(n_exp, x_min=x_min)

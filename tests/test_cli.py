@@ -543,11 +543,15 @@ class TestFitSelectCommand:
         # EP wins by a decisive factor, which is still short of 1e9
         assert sel["chosen"] == "P" and sel["log_bf_ep_p"] > 10
         assert report["manifest"]["config"]["threshold"] == sel["threshold"] == 1e9
-        zero = tmp_path / "zero"
         capsys.readouterr()
-        assert main([*flags, "--threshold", "0", "--out-dir", str(zero)]) == 1
-        assert capsys.readouterr().err == "error: threshold must be positive, got 0.0\n"
-        assert not zero.exists()
+        # inf would pick P whatever the evidence
+        for given, shown in (("0", "0.0"), ("inf", "inf")):
+            bad = tmp_path / f"bad-{given}"
+            assert main([*flags, "--threshold", given, "--out-dir", str(bad)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: threshold must be positive and finite, got {shown}\n"
+            )
+            assert not bad.exists()
 
     def test_runtime_sidecar_not_in_report(self, series_file, tmp_path):
         out = tmp_path / "fit"
@@ -638,6 +642,28 @@ class TestClassifyCommand:
         assert values == sorted(values)
         for pv in res["per_value"]:
             assert 0.0 <= pv["tail_responsibility"] <= 1.0
+
+    def test_tail_regime_starts_where_the_tail_owns_every_larger_count(
+            self, tmp_path, capsys):
+        # the tail owns count 1 on this EP series, then the body owns
+        # 2-20; the regime starts at 21, not at the first tail-owned count
+        assert main(["simulate", "--model", "EP", "--weights", "0.5,0.5",
+                     "--lambdas", "0.2", "--alpha", "1.6", "--n", "5000",
+                     "--seed", "3", "--out-dir", str(tmp_path / "sim")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "cls"
+        assert main(["classify", "--input", str(tmp_path / "sim" / "sim-ep-n5000.series"),
+                     "--seed", "1", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().out.endswith(
+            "model EP, tail regime starts at count 21 (345/5000 bins)\n"
+        )
+        res = check_report(out / "sim-ep-n5000.classify-report.json")["results"]
+        assert (res["tail_threshold"], res["n_tail_bins"]) == (21, 345)
+        per_value = res["per_value"]
+        assert per_value[0]["value"] == 1 and per_value[0]["tail_responsibility"] > 0.5
+        for pv in per_value:
+            if pv["value"] >= 21:
+                assert pv["tail_responsibility"] >= 0.5, pv
 
 
     def test_shares_selection_and_manifest_with_fit_select(self, series_file,

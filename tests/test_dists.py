@@ -13,19 +13,27 @@ from tailmix.dists import (
     ExpParams,
     ParetoParams,
     hurwitz_zeta,
-    hurwitz_zeta_dalpha,
     sample_exp,
     sample_pareto,
 )
 from tailmix.errors import DomainError
-from tailmix.mixture import MixtureParams, ModelSpec, component_log_pmfs
 from tailmix.seeding import substream
 
 
+def _unit_logs(x, lambdas, alpha, x_min):
+    """Log pmf of each component at x, from the one density path: the
+    densities' support check, then ``kernels.component_logs`` with unit
+    weights."""
+    arr = np.atleast_1d(dists._check_support(x, x_min))
+    lam = np.asarray(lambdas, dtype=np.float64)
+    z = kernels.zeta_pair(alpha, float(x_min))[0]
+    return kernels.component_logs(arr, np.log(arr), np.ones(lam.size + 1), lam,
+                                  alpha, float(x_min), z)
+
+
 def pareto_log_pmf(x, params: ParetoParams):
-    """The power-law component's log pmf, from the one density path."""
-    spec = ModelSpec(0, x_min=params.x_min)
-    return component_log_pmfs(x, spec, MixtureParams((1.0,), (), params.alpha))[0]
+    """The power-law component's log pmf."""
+    return _unit_logs(x, (), params.alpha, params.x_min)[0]
 
 
 def pareto_pmf(x, params: ParetoParams):
@@ -33,11 +41,9 @@ def pareto_pmf(x, params: ParetoParams):
 
 
 def exp_log_pmf(x, params: ExpParams, x_min: int = 1):
-    """The exponential component's log density, from the one density path;
-    the power tail beside it does not enter the first row."""
-    spec = ModelSpec(1, x_min=x_min)
-    mix = MixtureParams((0.5, 0.5), (params.rate,), 2.0)
-    return component_log_pmfs(x, spec, mix)[0]
+    """The exponential component's log pmf; the power tail beside it does
+    not enter the first row."""
+    return _unit_logs(x, (params.rate,), 2.0, x_min)[0]
 
 
 def exp_pmf(x, params: ExpParams, x_min: int = 1):
@@ -48,7 +54,8 @@ class TestZeta:
     def test_frozen_values(self):
         assert hurwitz_zeta(1.5) == pytest.approx(fv.ZETA_ALPHA_15, abs=1e-10)
         assert hurwitz_zeta(2.0) == pytest.approx(fv.ZETA_ALPHA_2, abs=1e-10)
-        assert hurwitz_zeta_dalpha(2.0) == pytest.approx(fv.DZETA_ALPHA_2, abs=1e-9)
+        dzeta = kernels.zeta_pair(2.0, 1.0)[1]
+        assert dzeta == pytest.approx(fv.DZETA_ALPHA_2, abs=1e-9)
 
     def test_matches_scipy_across_grid(self):
         for alpha in (1.01, 1.1, 1.3, 1.6, 2.0, 2.5, 3.0, 3.9):
@@ -64,7 +71,8 @@ class TestZeta:
             for q in (1, 3):
                 fd = (scipy.special.zeta(alpha + h, q)
                       - scipy.special.zeta(alpha - h, q)) / (2 * h)
-                assert hurwitz_zeta_dalpha(alpha, q) == pytest.approx(fd, abs=1e-7)
+                dzeta = kernels.zeta_pair(alpha, float(q))[1]
+                assert dzeta == pytest.approx(fd, abs=1e-7)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -239,7 +239,8 @@ class TestFitModel:
         ll, grad, hess = fun(theta[None], np.zeros(1, dtype=np.int64))
         weight = fit_module.BARRIER_WEIGHTS[-1]
         s = fit_module._slacks(a, b, theta[None])
-        neg_phi, g, h = fit_module._barrier(a, s, ll, grad, hess, weight, fm.n)
+        neg_phi, g, h = fit_module._barrier(a, s, ll, grad, hess, np.full(1, weight),
+                                            np.full(1, fm.n))
         assert fm.diagnostics["barrier_residual"] == abs(-fm.n * neg_phi[0] - fm.loglik)
         assert fm.loglik == ll[0]  # raw, no barrier term
         # the decrement lambda^2 / 2 = -g.d / 2 of the last stage's last iterate
@@ -345,12 +346,12 @@ class TestLockstep:
         fun = fit_module._objective([(values, mult)], [0], spec)
         a, b = slack_system(spec)
         theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
-        n = mult.sum()
+        n = np.full(5, mult.sum())
         raw = n_exp == 1  # as fit_model runs EP
         batch = fit_module._lockstep(fun, a, b, theta0.reshape(5, spec.dof), n, raw)
         for r in range(5):
             alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1].reshape(1, -1),
-                                         n, raw)
+                                         n[r : r + 1], raw)
             np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
             assert batch[1][r] == alone[1][0]  # last stage's objective
             np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
@@ -373,7 +374,7 @@ class TestLockstep:
         fun = fit_module._objective([(values, mult)], [0], spec)
         a, b = slack_system(spec)
         theta0 = np.array([random_init(spec, substream(8, r)) for r in range(5)])
-        n, raw = mult.sum(), n_exp == 1
+        n, raw = np.full(5, mult.sum()), n_exp == 1
         batch = fit_module._lockstep(fun, a, b, theta0, n, raw)
         statuses = batch[6]
         assert sum(s.count("maxiter") for s in statuses) >= 5
@@ -385,7 +386,8 @@ class TestLockstep:
             # ends before its first step (0) or after it (1)
             capped, converged = status.count("maxiter"), status.count("converged")
             assert 2 * capped <= batch[5][r] <= 2 * capped + converged
-            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1], n, raw)
+            alone = fit_module._lockstep(fun, a, b, theta0[r : r + 1], n[r : r + 1],
+                                         raw)
             np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
             np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
             for i in (1, 3, 4, 5, 6, 7):
@@ -552,7 +554,7 @@ class TestBarrier:
 
         def barrier(theta):
             s = fit_module._slacks(a, b, theta[None])
-            return fit_module._barrier(a, s, *zeros, 0.3, 7.0)
+            return fit_module._barrier(a, s, *zeros, np.full(1, 0.3), np.full(1, 7.0))
 
         for r in range(3):
             theta = random_init(spec, substream(71, spec.n_exp, r))
@@ -575,8 +577,9 @@ class TestBarrier:
         hess = rng.normal(size=(1, 3, 3))
         zeros = (np.zeros(1), np.zeros((1, 3)), np.zeros((1, 3, 3)))
         s = fit_module._slacks(a, b, theta)
-        f0, g0, h0 = fit_module._barrier(a, s, *zeros, 0.01, 40.0)
-        f, g, h = fit_module._barrier(a, s, ll, grad, hess, 0.01, 40.0)
+        weight, n = np.full(1, 0.01), np.full(1, 40.0)
+        f0, g0, h0 = fit_module._barrier(a, s, *zeros, weight, n)
+        f, g, h = fit_module._barrier(a, s, ll, grad, hess, weight, n)
         np.testing.assert_allclose(f - f0, -ll / 40.0, rtol=1e-12)
         np.testing.assert_allclose(g - g0, -grad / 40.0, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(h - h0, -hess / 40.0, rtol=1e-12, atol=1e-15)
@@ -632,9 +635,10 @@ class TestNewtonDirections:
         theta0 = np.array([[3.0]])
         _, g0, h0 = fit_module._barrier(a, fit_module._slacks(a, b, theta0),
                                         *bowl(theta0, [0]),
-                                        fit_module.BARRIER_WEIGHTS[0], n)
+                                        np.full(1, fit_module.BARRIER_WEIGHTS[0]),
+                                        np.full(1, n))
         seen.clear()
-        fit_module._lockstep(bowl, a, b, theta0, n, raw)
+        fit_module._lockstep(bowl, a, b, theta0, np.full(1, n), raw)
         if raw:
             d0 = -n * g0[0, 0]
             t = 2.0 ** round(math.log2((seen[1][0, 0] - 3.0) / d0))
@@ -658,12 +662,13 @@ class TestNewtonDirections:
         theta0 = np.array([[2.45]])
         _, g0, h0 = fit_module._barrier(a, fit_module._slacks(a, b, theta0),
                                         *well(theta0, [0]),
-                                        fit_module.BARRIER_WEIGHTS[0], n)
+                                        np.full(1, fit_module.BARRIER_WEIGHTS[0]),
+                                        np.full(1, n))
         assert h0[0, 0, 0] < 0.0
         d0 = fit_module._newton_directions(g0, h0)[0, 0]
         assert d0 * g0[0, 0] < 0.0 and d0 < 0.0  # downhill, away from the trough
         theta, _, _, dec, _, _, status, errors = fit_module._lockstep(
-            well, a, b, theta0, n
+            well, a, b, theta0, np.full(1, n)
         )
         assert status[0] == ["converged"] * len(fit_module.BARRIER_WEIGHTS)
         assert 0.0 <= dec[0] <= fit_module.NEWTON_TOL
@@ -741,7 +746,7 @@ class TestFeasibleSteps:
                     np.full(theta.shape + (1,), -1.0))
 
         theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
-            steep, a, b, np.array([[2.0]]), 1.0
+            steep, a, b, np.array([[2.0]]), np.ones(1)
         )
         assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)
         assert iters[0] == len(fit_module.BARRIER_WEIGHTS)
@@ -767,7 +772,7 @@ class TestFeasibleSteps:
                     np.full(theta.shape + (1,), -1.0))
 
         theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
-            uphill, a, b, theta0, 1.0
+            uphill, a, b, theta0, np.ones(2)
         )
         n_stages = len(fit_module.BARRIER_WEIGHTS)
         for r in range(2):
@@ -791,8 +796,8 @@ class TestFeasibleSteps:
             for weight, stage in zip(fit_module.BARRIER_WEIGHTS,
                                      np.split(np.array(delta), cuts)):
                 s = fit_module._slacks(a, b, theta0[r:r + 1])
-                _, g, h = fit_module._barrier(a, s, ll[r:r + 1],
-                                              grad, hess, weight, 1.0)
+                _, g, h = fit_module._barrier(a, s, ll[r:r + 1], grad, hess,
+                                              np.full(1, weight), np.ones(1))
                 steps = stage / abs(g[0, 0] / h[0, 0, 0])
                 # halvings from the first feasible step down to the
                 # floor, and none below it

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import frozen_values as fv
+from tailmix import kernels
+from tailmix import mixture as mixture_module
 from tailmix.errors import ContractError, DataError, DomainError
 from tailmix.mixture import (
     BinnedSeries,
     MixtureParams,
     ModelSpec,
     as_series,
-    component_log_pmfs,
     log_likelihood,
     mixture_log_pmf,
     mixture_pmf,
@@ -21,7 +22,7 @@ from tailmix.mixture import (
     sample_mixture,
     tail_threshold,
 )
-from tailmix.seeding import child_seed
+from tailmix.seeding import child_seed, substream
 
 EP = ModelSpec(n_exp=1)
 EEP = ModelSpec(n_exp=2)
@@ -96,7 +97,11 @@ class TestDensities:
     def test_mixture_is_convex_combination(self):
         params = MixtureParams((0.3, 0.4, 0.3), (1.5, 0.15), 1.6)
         xs = np.array([1, 2, 10, 100])
-        comp = np.exp(component_log_pmfs(xs, EEP, params))
+        z = kernels.zeta_pair(params.alpha, 1.0)[0]
+        comp = np.exp(kernels.component_logs(
+            xs.astype(np.float64), np.log(xs), np.ones(3), np.array(params.lambdas),
+            params.alpha, 1.0, z,
+        ))
         direct = (np.array(params.weights)[:, None] * comp).sum(axis=0)
         np.testing.assert_allclose(mixture_pmf(xs, EEP, params), direct, rtol=1e-12)
 
@@ -170,27 +175,69 @@ class TestResponsibilities:
         resp4 = responsibilities(4, EP, self.PARAMS)[-1]
         assert resp3 < 0.5 <= resp4
 
-    def test_tail_threshold_is_smallest_crossing(self):
+    def test_tail_threshold_starts_the_final_tail_run(self):
         params = MixtureParams((0.3, 0.4, 0.3), (2.5, 0.6), 2.2)
         got = tail_threshold(EEP, params)
-        xs = np.arange(1, 2000)
-        r = responsibilities(xs, EEP, params)[:, -1]
-        brute = int(xs[np.nonzero(r >= 0.5)[0][0]])
-        assert got == brute
+        assert got == _final_tail_run(EEP, params, 2000) == 9
 
     def test_tail_threshold_past_the_first_block(self):
         # the crossing lies past the scan's first block of 4096 values
         params = MixtureParams((0.999, 0.001), (0.002,), 1.2)
         got = tail_threshold(EP, params)
         assert got == 6473
-        xs = np.arange(1, 6475)
-        r = responsibilities(xs, EP, params)[:, -1]
-        assert int(xs[np.nonzero(r >= 0.5)[0][0]]) == got
+        assert _final_tail_run(EP, params, 20000) == got
+
+    def test_tail_threshold_skips_a_tail_owned_head(self):
+        # the table2-desk EP truth: the tail owns x = 1, the body 2-20,
+        # and the tail every value from 21 on
+        params = MixtureParams((0.5, 0.5), (0.2,), 1.6)
+        r = responsibilities(np.arange(1, 23), EP, params)[:, -1]
+        assert r[0] >= 0.5 and (r[1:20] < 0.5).all() and (r[20:] >= 0.5).all()
+        assert tail_threshold(EP, params) == 21
+
+    def test_tail_threshold_equals_brute_force_on_random_models(self):
+        rng = substream(2024)
+        heads = 0  # models whose tail owns some value before the body's last
+        for trial in range(40):
+            n_exp = 1 + trial % 2
+            spec = ModelSpec(n_exp, x_min=int(rng.integers(1, 4)))
+            params = MixtureParams(
+                tuple(rng.dirichlet(np.ones(n_exp + 1))),
+                tuple(np.exp(rng.uniform(np.log(0.05), np.log(3.0), n_exp))),
+                float(rng.uniform(1.1, 3.5)),
+            )
+            got = tail_threshold(spec, params)
+            assert got == _final_tail_run(spec, params, 20000), params
+            heads += bool((responsibilities(np.arange(spec.x_min, got), spec,
+                                            params)[:, -1] >= 0.5).any())
+        assert heads >= 10
+
+    def test_tail_threshold_refuses_a_far_takeover_before_scanning(self, monkeypatch):
+        def scanned(*args):
+            raise AssertionError("responsibilities called")
+
+        monkeypatch.setattr(mixture_module, "responsibilities", scanned)
+        # s = alpha / min rate = 2^26 exactly, and far past it
+        for rate in (2.0 / 2**26, 1e-12):
+            params = MixtureParams((0.5, 0.5), (rate,), 2.0)
+            with pytest.raises(DomainError, match=r"s = alpha / min rate = .*2\^26"):
+                tail_threshold(EP, params)
 
     def test_pure_tail_model_starts_at_x_min(self):
         assert tail_threshold(P, MixtureParams((1.0,), (), 1.6)) == 1
         spec = ModelSpec(n_exp=0, x_min=4)
         assert tail_threshold(spec, MixtureParams((1.0,), (), 1.6)) == 4
+
+
+def _final_tail_run(spec, params, stop):
+    """Brute force over x_min..stop: one past the last value the body
+    owns, or x_min. stop must be tail-owned and lie past s = alpha / min
+    rate, from where the tail's log-odds only rise."""
+    xs = np.arange(spec.x_min, stop + 1)
+    tail = responsibilities(xs, spec, params)[:, -1] >= 0.5
+    assert tail[-1] and stop >= params.alpha / min(params.lambdas)
+    body = np.flatnonzero(~tail)
+    return int(xs[body[-1]]) + 1 if body.size else spec.x_min
 
 
 class TestBinnedSeries:
@@ -269,3 +316,13 @@ class TestSampling:
             sample_mixture(EP, params, 10, seed=-1)
         with pytest.raises(DomainError, match="seed must be a non-negative"):
             child_seed(-3, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, "7"], ids=["float", "str"])
+    def test_seed_that_is_not_an_integer_is_domain_error(self, seed):
+        # numpy's SeedSequence would raise its own TypeError for these
+        params = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        for draw in (lambda: substream(seed), lambda: child_seed(seed, 0),
+                     lambda: sample_mixture(EP, params, 10, seed=seed)):
+            with pytest.raises(DomainError, match=message):
+                draw()

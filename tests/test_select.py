@@ -163,8 +163,10 @@ class TestNestedSelection:
             select_nested(counts, CFG)
 
     def test_threshold_validated(self):
-        with pytest.raises(DomainError):
-            select_nested(np.array([1, 2, 3]), CFG, threshold=0.0)
+        # an infinite threshold would pick P whatever the evidence
+        for threshold in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="positive and finite"):
+                select_nested(np.array([1, 2, 3]), CFG, threshold=threshold)
 
     def test_strengths_on_result(self):
         sample = sample_mixture(
