@@ -81,7 +81,8 @@ def _fit_config(args):
 
 
 def _cmd_bin(args):
-    windows = _parse_numbers(args.windows) if args.windows else STANDARD_WINDOWS
+    windows = (STANDARD_WINDOWS if args.windows is None
+               else _parse_numbers(args.windows))
     check_windows(windows)
     flow_path = Path(args.input)
     times = read_flow_file(flow_path)

@@ -346,12 +346,11 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
 
     A stage ends "converged" (Newton decrement lambda^2 / 2 at most
     NEWTON_TOL), "linesearch" (no acceptable step down to _MIN_STEP) or
-    "maxiter". A restart whose starting log-likelihood is not finite
-    fails. Returns (theta, f, grad, decrement, loglik, iters,
-    stage_status, errors), one entry per restart: f, grad and decrement
-    are the last stage's objective, gradient and lambda^2 / 2 at theta;
-    loglik is the raw log-likelihood there, or -inf and errors[r] a
-    message where restart r failed, else None.
+    "maxiter". Returns (theta, f, grad, decrement, loglik, iters,
+    stage_status), one entry per restart: f, grad and decrement are the
+    last stage's objective, gradient and lambda^2 / 2 at theta; loglik
+    is the raw log-likelihood there, or -inf where the starting
+    log-likelihood is not finite, which alone says the restart failed.
     """
     n_rows, dim = theta0.shape
     x = np.array(theta0, dtype=np.float64)
@@ -446,9 +445,7 @@ def _lockstep(fun, a_mat, b_vec, theta0, n, raw_first_step=False):
         it[rows] = it_r + 1
         direct(rows, g_new, h_new)
 
-    loglik = np.where(live, ll, -np.inf)
-    errors = [None if ok else "starting log-likelihood is not finite" for ok in live]
-    return x, f, g, decrement, loglik, iters, status, errors
+    return x, f, g, decrement, np.where(live, ll, -np.inf), iters, status
 
 
 def _prepare(series, spec):
@@ -466,26 +463,23 @@ def _prepare(series, spec):
 
 
 def _fitted(series, values, n, spec, thetas, fs, grads, decrements, logliks,
-            iters, status, errors):
+            iters, status):
     """The FittedModel of one fit from its restarts' lockstep results, or
     a FitError (with per-restart diagnostics attached) if no restart
     produced a finite log-likelihood."""
-    restarts = len(logliks)
     restart_logliks = [float(ll) for ll in logliks]
+    finite = np.isfinite(logliks)
     restart_reports = [
-        {"error": errors[r]} if errors[r] is not None else {
-            "iters": int(iters[r]),
-            "stage_status": status[r],
-            "grad_inf_norm": float(n * np.abs(grads[r]).max()),
-            "newton_decrement": float(decrements[r]),
-        }
-        for r in range(restarts)
+        {"iters": int(iters[r]), "stage_status": status[r],
+         "grad_inf_norm": float(n * np.abs(grads[r]).max()),
+         "newton_decrement": float(decrements[r])}
+        if finite[r] else {"error": "starting log-likelihood is not finite"}
+        for r in range(len(logliks))
     ]
 
-    finite = np.isfinite(logliks)
     if not finite.any():
         return FitError(
-            f"all {restarts} restarts failed for model {spec.label}",
+            f"all {len(logliks)} restarts failed for model {spec.label}",
             partial={"restart_logliks": restart_logliks, "restarts": restart_reports},
         )
     # the first restart with the largest finite log-likelihood wins
@@ -514,42 +508,38 @@ def fit_models(series_list, spec: ModelSpec, configs) -> list:
     Each series is a BinnedSeries or a raw integer count array, fitted
     with the FitConfig at the same place in ``configs``. Restart r of
     fit j draws its start from substream(configs[j].seed, r), so fits
-    are reproducible. Every restart of every fit runs through one
-    ``_lockstep``: a round costs one kernel call per fit but its
-    bookkeeping once, and each fit's result is bit-identical to fitting
-    its series alone.
+    are reproducible. The restarts of every series that ``_prepare``
+    accepts run through one ``_lockstep``: a round costs one kernel call
+    per fit but its bookkeeping once, and each fit's result is
+    bit-identical to fitting its series alone.
 
     Returns one entry per series: its FittedModel, or the TailmixError
     that series hit, so one series' error does not stop the others. A
     DataError means fewer than 2 distinct counts remain; a FitError
-    (with per-restart diagnostics attached) means no restart produced a
-    finite log-likelihood.
+    (with per-restart diagnostics attached) means that no restart had a
+    finite starting log-likelihood, the one way a restart fails.
     """
     results = [None] * len(series_list)
-    ready, prepared = [], []  # (j, config) and _prepare's output per fit
+    runnable = []  # (j, config, series, values, mult, n) per fit that can run
     for j, (series, config) in enumerate(zip(series_list, configs, strict=True)):
         try:
-            prepared.append(_prepare(series, spec))
+            runnable.append((j, config, *_prepare(series, spec)))
         except TailmixError as exc:
             results[j] = exc
-        else:
-            ready.append((j, config))
-    if not ready:
+    if not runnable:
         return results
 
-    restarts = [config.restarts for _, config in ready]
+    restarts = [config.restarts for _, config, *_ in runnable]
     starts = np.cumsum([0] + restarts)
-    fun = _objective([(values, mult) for _, values, mult, _ in prepared],
+    fun = _objective([(values, mult) for *_, values, mult, _ in runnable],
                      starts[:-1], spec)
-    a_mat, b_vec = slack_system(spec)
     theta0 = np.array([
         random_init(spec, substream(config.seed, r))
-        for _, config in ready for r in range(config.restarts)
-    ]).reshape(starts[-1], spec.dof)
-    n_rows = np.repeat([n for *_, n in prepared], restarts)
-    out = _lockstep(fun, a_mat, b_vec, theta0, n_rows, spec.n_exp == 1)
-    for (j, _), (series, values, _, n), lo, hi in zip(ready, prepared, starts,
-                                                       starts[1:]):
+        for _, config, *_ in runnable for r in range(config.restarts)
+    ])
+    n_rows = np.repeat([n for *_, n in runnable], restarts)
+    out = _lockstep(fun, *slack_system(spec), theta0, n_rows, spec.n_exp == 1)
+    for (j, _, series, values, _, n), lo, hi in zip(runnable, starts, starts[1:]):
         results[j] = _fitted(series, values, n, spec, *(o[lo:hi] for o in out))
     return results
 

@@ -141,20 +141,28 @@ def read_flow_file(path) -> np.ndarray:
 def read_uptime_file(path) -> list:
     """Read measured intervals, sorted, as (begin, end) second pairs from
     the begin and end columns of a delimited text file. Its faults are
-    those of _read_columns, no rows, an empty or reversed interval and
-    overlapping intervals, each a DataError naming the file."""
+    those of _read_columns, those of _check_spans and overlapping
+    intervals, each a DataError naming the file."""
     path = Path(path)
     spans = [(b, e) for b, e in _read_columns(path, ("begin", "end")).tolist()]
-    if not spans:
-        raise DataError(f"{path}: no intervals")
-    for b, e in spans:
-        if not b < e:
-            raise DataError(f"{path}: interval ({b},{e}) must have begin < end")
+    _check_spans(spans, path)
     spans.sort()
     for (b0, e0), (b1, e1) in zip(spans, spans[1:]):
         if b1 < e0:
             raise DataError(f"{path}: overlapping intervals ({b0},{e0}) and ({b1},{e1})")
     return spans
+
+
+def _check_spans(spans, where):
+    """Raise a DataError starting with where unless spans holds at least
+    one (begin, end) interval, each with finite bounds and begin < end."""
+    if not spans:
+        raise DataError(f"{where}: no intervals")
+    for b, e in spans:
+        if not (math.isfinite(b) and math.isfinite(e)):
+            raise DataError(f"{where}: interval ({b},{e}) has a non-finite bound")
+        if not b < e:
+            raise DataError(f"{where}: interval ({b},{e}) must have begin < end")
 
 
 def bin_flows(
@@ -189,11 +197,14 @@ def bin_at_windows(
     Each series is the one bin_flows describes. The flows are counted
     once at the smallest window of each run of exact doublings (w, 2w,
     4w, ...), and each larger window of the run sums pairs of bins of
-    the one below, aligned on even global bin indices. That is exact:
-    t / (2w) = (t / w) / 2 in binary floating point, so bin
-    floor(t / (2w)) is floor(t / w) // 2. ``_doubling_exact`` guards the
-    one way that can fail (a quotient too small).
-    The uptime and zero-bin filters apply per window, after the sums.
+    the one below, aligned on even global bin indices. That is exact
+    where no t is negative: t / (2w) = (t / w) / 2 in binary floating
+    point, so bin floor(t / (2w)) is floor(t / w) // 2, and the indices
+    need no test, as ``_count`` refuses any quotient of 2^62 or more. A
+    negative t / w near 0 can round to -0.0 when halved, so a trace with
+    a negative time is counted at each window. The uptime and zero-bin
+    filters apply per window, after the sums. An uptime list follows
+    ``_check_spans``, as an uptime file does, but may overlap.
     """
     check_windows(windows)
     times = np.asarray(start_times, dtype=np.float64)
@@ -207,23 +218,13 @@ def bin_at_windows(
     series = {}
     below = None  # (window, k0, counts) of the last window counted
     for w in sorted({float(w) for w in windows}):
-        if below is not None and below[0] == w / 2 and _doubling_exact(lo):
+        if below is not None and below[0] == w / 2 and lo >= 0.0:
             k0, counts = _pair_sums(*below[1:])
         else:
             k0, counts = _count(times, lo, hi, w)
         below = (w, k0, counts)
         series[w] = _filtered(counts, k0, w, times.size, spans, drop_zeros, source_id)
     return {w: series[float(w)] for w in windows}
-
-
-def _doubling_exact(lo) -> bool:
-    """Whether bin floor(t / w) is floor(t / (w/2)) // 2 for every t: no
-    t is negative, since halving a negative t / w near 0 can round it to
-    -0.0. The indices need no test: w/2 was counted by ``_count``, which
-    refuses any quotient of 2^62 or more, or summed from a window that
-    was, and halving is exact. A trace with a negative time is counted
-    at each window."""
-    return lo >= 0.0
 
 
 def check_windows(windows):
@@ -238,11 +239,6 @@ def check_windows(windows):
         if float(w) in seen:
             raise DataError(f"window size {w:g} is given more than once")
         seen.add(float(w))
-
-
-def _chunks(times):
-    """Consecutive views of at most _CHUNK start times, covering all."""
-    return (times[i : i + _CHUNK] for i in range(0, times.size, _CHUNK))
 
 
 def _count(times, lo, hi, w):
@@ -272,7 +268,8 @@ def _count(times, lo, hi, w):
     counts = np.zeros(math.floor(last) - k0 + 1, dtype=np.int64)
     q = np.empty(min(_CHUNK, times.size))
     k = np.empty(q.size, dtype=np.int64)
-    for c in _chunks(times):
+    for i in range(0, times.size, _CHUNK):
+        c = times[i : i + _CHUNK]
         qc, kc = q[: c.size], k[: c.size]
         np.divide(c, w, out=qc)
         np.floor(qc, out=qc)
@@ -296,9 +293,9 @@ def _sorted_spans(uptime):
     """Interval begins in ascending order, and for each the largest end of
     the intervals up to it, so that bin [lo, hi) lies wholly inside one
     interval exactly when some interval up to the last begin <= lo
-    reaches hi. Spans may be unsorted or overlap; NaN ends reach
-    nothing."""
+    reaches hi. Spans may be unsorted or overlap."""
     spans = np.array([(b, e) for b, e in uptime], dtype=np.float64).reshape(-1, 2)
+    _check_spans(spans.tolist(), "uptime")
     spans = spans[np.argsort(spans[:, 0], kind="stable")]
     return spans[:, 0], np.fmax.accumulate(spans[:, 1])
 
@@ -406,7 +403,12 @@ def _counts_by_line(fh, path) -> list:
         if not line:
             continue
         try:
-            counts.append(int(line))
+            count = int(line)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad count {line!r}") from None
+        if not -(2**63) <= count < 2**63:
+            raise DataError(
+                f"{path}:{lineno}: count {count} is outside the 64-bit integer range"
+            )
+        counts.append(count)
     return counts

@@ -129,6 +129,13 @@ class TestBinCommand:
                                             monkeypatch, windows)
         assert message in err
 
+    def test_bin_empty_windows_fail_before_reading(self, flow_file, tmp_path,
+                                                   capsys, monkeypatch):
+        # an empty --windows is a value, not the default ladder
+        err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
+                                            monkeypatch, "")
+        assert err == "error: no window sizes given\n"
+
     def test_bin_window_that_is_not_a_number_fails_before_reading(
             self, flow_file, tmp_path, capsys, monkeypatch):
         err = self.bin_error_before_reading(flow_file, tmp_path, capsys,
@@ -217,6 +224,12 @@ def test_each_subcommand_keeps_its_option_strings():
                         if s not in ("-h", "--help"))
            for name, parser in sub.choices.items()}
     assert got == expected
+
+
+# a series file whose second count is 2^63, one past the int64 range
+OUT_OF_RANGE_SERIES = ('#{"bin_seconds": 4, "n": 3, "source_id": "big"}\n'
+                       "5\n9223372036854775808\n7\n")
+OUT_OF_RANGE_MESSAGE = "count 9223372036854775808 is outside the 64-bit integer range"
 
 
 @pytest.fixture()
@@ -392,16 +405,19 @@ class TestFitSelectCommand:
         assert rows[1]["chosen"] == "EP"
         assert (out / "sim-ep-n1500.fit-report.json").exists()
 
-    @pytest.mark.parametrize("entry", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("entry", ["directory", "not-utf8", "out-of-range"])
     def test_directory_mode_keeps_an_unreadable_entry_on_its_row(
             self, series_file, tmp_path, capsys, entry):
         odd = series_file.parent / "odd.series"
         if entry == "directory":
             odd.mkdir()
             msg = f"[Errno 21] Is a directory: '{odd}'"
-        else:
+        elif entry == "not-utf8":
             odd.write_bytes(b'#{"bin_seconds": 4, "source_id": "\xff", "n": 1}\n1\n')
             msg = f"{odd}: not UTF-8 text"
+        else:
+            odd.write_text(OUT_OF_RANGE_SERIES, encoding="utf-8")
+            msg = f"{odd}:3: {OUT_OF_RANGE_MESSAGE}"
         out = tmp_path / "fits"
         rc = main(["fit-select", "--input", str(series_file.parent),
                    "--restarts", "4", "--seed", "5", "--out-dir", str(out)])
@@ -562,6 +578,22 @@ class TestFitSelectCommand:
         assert "wall_seconds" in json.loads(sidecar.read_text())
         report = json.loads((out / "sim-ep-n1500.fit-report.json").read_text())
         assert "wall_seconds" not in json.dumps(report)
+
+
+@pytest.mark.parametrize("command", ["fit-select", "classify"])
+def test_count_outside_64_bits_fails_by_line_before_any_output(command, tmp_path,
+                                                               capsys):
+    path = tmp_path / "big.series"
+    path.write_text(OUT_OF_RANGE_SERIES, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(path), "--restarts", "2",
+               "--out-dir", str(out)])
+    assert rc == 1
+    # fit-select names the file of each row it reports
+    named = "big.series: " if command == "fit-select" else ""
+    err = f"error: {named}{path}:3: {OUT_OF_RANGE_MESSAGE}\n"
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit-select", "classify"])

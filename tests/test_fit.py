@@ -359,7 +359,8 @@ class TestLockstep:
             assert batch[4][r] == alone[4][0]  # log-likelihood
             assert batch[5][r] == alone[5][0]  # iterations
             assert batch[6][r] == alone[6][0]  # stage statuses
-            assert batch[7][r] is None and alone[7][0] is None
+            # a live restart: its log-likelihood is finite
+            assert np.isfinite(batch[4][r])
 
     @pytest.mark.parametrize("n_exp", [0, 1, 2])
     def test_iteration_cap_ends_a_stage_and_opens_the_next(self, monkeypatch,
@@ -390,7 +391,7 @@ class TestLockstep:
                                          raw)
             np.testing.assert_array_equal(batch[0][r], alone[0][0])  # theta
             np.testing.assert_array_equal(batch[2][r], alone[2][0])  # gradient
-            for i in (1, 3, 4, 5, 6, 7):
+            for i in (1, 3, 4, 5, 6):
                 assert batch[i][r] == alone[i][0]
 
     @pytest.mark.parametrize("x_min", [1, 3])
@@ -476,6 +477,54 @@ class TestLockstep:
             assert got[j].diagnostics == want[j].diagnostics
         with pytest.raises(FitError, match="all 3 restarts failed"):
             fit_model(series[1], EP, configs[1])
+
+    def test_some_restarts_failing_leave_the_fit_to_the_others(self, monkeypatch):
+        # the starting evaluation is NaN on every other restart of each
+        # fit; those restarts fail, and the fit is the best of the rest
+        real = fit_module._objective
+
+        def half_failing(fits, starts, spec):
+            fun, first = real(fits, starts, spec), True
+
+            def call(theta, rows):
+                nonlocal first
+                ll, grad, hess = fun(theta, rows)
+                if first:  # the starting evaluation
+                    first = False
+                    fit_of = np.searchsorted(starts, rows, side="right") - 1
+                    local = rows - np.asarray(starts)[fit_of]
+                    ll = np.where(local % 2 == 0, np.nan, ll)
+                return ll, grad, hess
+            return call
+
+        monkeypatch.setattr(fit_module, "_objective", half_failing)
+        truth = MixtureParams((0.5, 0.5), (0.3,), 1.7)
+        sample = sample_mixture(EP, truth, 800, seed=5)
+        fitted = fit_model(sample, EP, FitConfig(restarts=4, seed=1))
+        diag = fitted.diagnostics
+        for r in (0, 2):
+            assert diag["restarts"][r] == {"error": "starting log-likelihood is not finite"}
+            assert diag["restart_logliks"][r] == -np.inf
+        for r in (1, 3):
+            assert set(diag["restarts"][r]) == {
+                "iters", "stage_status", "grad_inf_norm", "newton_decrement"}
+            assert np.isfinite(diag["restart_logliks"][r])
+        assert diag["restart_chosen"] in (1, 3)
+        assert fitted.loglik == diag["restart_logliks"][diag["restart_chosen"]]
+
+        # in a batch with a series that _prepare refuses, every other fit
+        # equals fitting it alone
+        series = [sample, np.full(40, 3), sample_mixture(EP, truth, 1500, seed=6)]
+        configs = [FitConfig(restarts=r, seed=s) for r, s in ((4, 1), (2, 2), (3, 3))]
+        batch = fit_models(series, EP, configs)
+        assert isinstance(batch[1], DataError)
+        for j in (0, 2):
+            alone = fit_model(series[j], EP, configs[j])
+            assert batch[j].params == alone.params
+            assert batch[j].loglik == alone.loglik
+            assert batch[j].diagnostics == alone.diagnostics
+        assert batch[0].diagnostics == diag
+        assert batch[2].diagnostics["restart_logliks"][2] == -np.inf
 
     def test_fit_models_needs_one_config_per_series(self):
         with pytest.raises(ValueError):
@@ -667,13 +716,13 @@ class TestNewtonDirections:
         assert h0[0, 0, 0] < 0.0
         d0 = fit_module._newton_directions(g0, h0)[0, 0]
         assert d0 * g0[0, 0] < 0.0 and d0 < 0.0  # downhill, away from the trough
-        theta, _, _, dec, _, _, status, errors = fit_module._lockstep(
+        theta, _, _, dec, ll, _, status = fit_module._lockstep(
             well, a, b, theta0, np.full(1, n)
         )
         assert status[0] == ["converged"] * len(fit_module.BARRIER_WEIGHTS)
         assert 0.0 <= dec[0] <= fit_module.NEWTON_TOL
         assert theta[0, 0] == pytest.approx(2.0, abs=1e-6)
-        assert errors[0] is None
+        assert np.isfinite(ll[0])
 
 
 def _halving_reference(a, b, x, d, step):
@@ -745,12 +794,12 @@ class TestFeasibleSteps:
             return (np.zeros(theta.shape[0]), np.full(theta.shape, -1e20),
                     np.full(theta.shape + (1,), -1.0))
 
-        theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
+        theta, _, _, _, ll, iters, status = fit_module._lockstep(
             steep, a, b, np.array([[2.0]]), np.ones(1)
         )
         assert status[0] == ["linesearch"] * len(fit_module.BARRIER_WEIGHTS)
         assert iters[0] == len(fit_module.BARRIER_WEIGHTS)
-        assert theta[0, 0] == 2.0 and ll[0] == 0.0 and errors[0] is None
+        assert theta[0, 0] == 2.0 and ll[0] == 0.0
         # the starting point only: stage starts reuse its stored value,
         # and no trial point is feasible
         assert len(calls) == 1
@@ -771,13 +820,13 @@ class TestFeasibleSteps:
             return (100.0 * (sign * theta)[:, 0], -100.0 * sign,
                     np.full(theta.shape + (1,), -1.0))
 
-        theta, _, _, _, ll, iters, status, errors = fit_module._lockstep(
+        theta, _, _, _, ll, iters, status = fit_module._lockstep(
             uphill, a, b, theta0, np.ones(2)
         )
         n_stages = len(fit_module.BARRIER_WEIGHTS)
         for r in range(2):
             assert status[r] == ["linesearch"] * n_stages
-            assert errors[r] is None
+            assert np.isfinite(ll[r])
         np.testing.assert_array_equal(iters, [n_stages, n_stages])
         np.testing.assert_array_equal(theta, theta0)
         np.testing.assert_array_equal(ll, [150.0, -300.0])

@@ -155,6 +155,23 @@ class TestDensities:
         assert raw.bin_seconds == 1.0
         np.testing.assert_array_equal(raw.counts, [3, 1, 4])
 
+    @pytest.mark.parametrize("counts, shown", [
+        ([5, 2**64, 7], "18446744073709551616"),
+        ([5, -2**63 - 1, 7], "-9223372036854775809"),
+        # once cast to int64 and reported as negative count -2^63
+        (np.array([5, 2**63, 7], dtype=np.uint64), "9223372036854775808"),
+    ], ids=["python-int", "python-int-negative", "uint64"])
+    def test_counts_outside_64_bits_fail_by_name(self, counts, shown):
+        with pytest.raises(DataError, match=f"^count {shown} at index 1 is outside "
+                                            "the 64-bit integer range$"):
+            as_series(counts)
+
+    def test_counts_at_the_64_bit_edges_pass(self):
+        top = np.array([0, 2**63 - 1], dtype=np.uint64)
+        np.testing.assert_array_equal(as_series(top).counts, [0, 2**63 - 1])
+        np.testing.assert_array_equal(as_series([3, 2**63 - 1]).counts, [3, 2**63 - 1])
+        np.testing.assert_array_equal(as_series([True, False]).counts, [1, 0])
+
 
 class TestResponsibilities:
     PARAMS = MixtureParams((0.5, 0.5), (1.0,), 2.0)
